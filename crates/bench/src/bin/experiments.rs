@@ -64,9 +64,10 @@
 //!                              path (one lock + one journal fsync per
 //!                              frame) — kept as the storm baseline
 //!         --workers <n>        reactor apply workers          (default 2)
-//!         --queue-ops <n>      reactor apply-queue frame bound (default 256);
-//!                              a frame arriving at a full queue is shed
-//!                              with the typed, retryable throttle
+//!         --queue-ops <n>      reactor apply-queue run bound   (default 256);
+//!                              a run (one connection's buffered frames)
+//!                              arriving at a full queue is shed, each
+//!                              frame with the typed, retryable throttle
 //!         --queue-bytes <n>    reactor apply-queue byte bound (default 8 MiB)
 //!         --max-conns <n>      open-connection cap            (default 1024);
 //!                              connections beyond it are told the throttle
@@ -90,7 +91,7 @@
 //!                              fleet journals + fsyncs, where the
 //!                              reactor's group commit earns its win)
 //!         --queue-ops/--workers/--retry-after-ms  reactor bounds (storm
-//!                              defaults: one worker, a 32-frame queue,
+//!                              defaults: one worker, a 32-run queue,
 //!                              1 ms retry hint; shrink --queue-ops to
 //!                              force backpressure sheds)
 //!         --trials <t>         bench-json trials per mode; the medians

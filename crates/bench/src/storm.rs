@@ -67,9 +67,9 @@ pub struct StormSpec {
 impl StormSpec {
     /// Storm-sized reactor bounds: one worker (the harness targets a
     /// single-core CI container, where a second worker only adds lock
-    /// traffic), a queue well below the swarm's potential in-flight frame
-    /// count (`connections × window`), and an aggressive 1 ms retry hint.
-    /// Shrink `--queue-ops` further (as the CI smoke does) to force
+    /// traffic), a queue of one run per connection at the default swarm
+    /// size, and an aggressive 1 ms retry hint. Shrink `--queue-ops`
+    /// below the connection count (as the CI smoke does) to force
     /// nonzero backpressure sheds.
     pub fn storm_reactor() -> ReactorOptions {
         ReactorOptions {

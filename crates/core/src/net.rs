@@ -3,10 +3,11 @@
 //! The session API is transport-agnostic; this module is the transport. A
 //! daemon wraps one session in [`serve_session`] — by default a
 //! bounded-worker *ingestion reactor*: each connection gets a handler
-//! thread that decodes frames, mutation frames cross a bounded apply
-//! queue to a small worker pool applying coalesced batches under one
-//! session-lock acquisition (one journal group commit for a durable
-//! session), and a full queue or connection table answers with a typed,
+//! thread that decodes frames, each connection's buffered run of mutation
+//! frames crosses a bounded apply queue as one unit to a small worker pool
+//! applying coalesced batches under one session-lock acquisition (one
+//! journal group commit for a durable session) and acked with one write,
+//! and a full queue or connection table answers with a typed,
 //! retryable [`WireError::Throttled`] instead of blocking
 //! (backpressure). The accept loop runs over `std::net::TcpListener` —
 //! the workspace has no async runtime, by design. Clients drive the
@@ -392,7 +393,8 @@ pub struct StatusCounters {
 /// being throttled) or idling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReactorCounters {
-    /// Frames currently parked in the apply queue.
+    /// Runs currently parked in the apply queue (a run is one
+    /// connection's buffered mutation frames, queued as one unit).
     pub queue_depth: u64,
     /// Bytes of frame payload currently parked in the apply queue.
     pub queued_bytes: u64,
@@ -1136,17 +1138,25 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
 
 /// Writes one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
-    let body = encode_frame(frame);
-    if body.len() > MAX_FRAME {
-        return Err(WireError::BadFrame {
-            reason: format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
-        });
+    write_frames(w, std::slice::from_ref(frame))
+}
+
+/// Writes length-prefixed frames back to back, in order. Nothing is
+/// written when any frame exceeds the size cap.
+fn write_frames(w: &mut impl Write, frames: &[Frame]) -> Result<(), WireError> {
+    // One buffer, one write: a separate write per prefix or per frame
+    // would cost its own syscall (and, with TCP_NODELAY, its own packet).
+    let mut wire = Vec::new();
+    for frame in frames {
+        let body = encode_frame(frame);
+        if body.len() > MAX_FRAME {
+            return Err(WireError::BadFrame {
+                reason: format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
+            });
+        }
+        wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        wire.extend_from_slice(body.as_bytes());
     }
-    // One buffer, one write: a separate 4-byte prefix write would cost a
-    // second syscall per frame (and, with TCP_NODELAY, its own packet).
-    let mut wire = Vec::with_capacity(4 + body.len());
-    wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    wire.extend_from_slice(body.as_bytes());
     w.write_all(&wire)?;
     w.flush()?;
     Ok(())
@@ -1176,6 +1186,19 @@ pub fn read_frame_sized(r: &mut impl Read) -> Result<(Frame, usize), WireError> 
     let text = std::str::from_utf8(&body)
         .map_err(|_| WireError::BadFrame { reason: "frame body is not UTF-8".into() })?;
     decode_frame(text).map(|frame| (frame, len))
+}
+
+/// The next frame, when it is already complete in `r`'s buffer: decoded
+/// and consumed with no read syscall and no wait. An incomplete frame, or
+/// one that fails to decode, stays buffered for [`read_frame_sized`] to
+/// read (and reject) as usual.
+fn read_buffered_frame<R: Read>(r: &mut std::io::BufReader<R>) -> Option<(Frame, usize)> {
+    let (prefix, rest) = r.buffer().split_first_chunk::<4>()?;
+    let len = u32::from_be_bytes(*prefix) as usize;
+    let body = std::str::from_utf8(rest.get(..len)?).ok()?;
+    let frame = decode_frame(body).ok()?;
+    std::io::BufRead::consume(r, 4 + len);
+    Some((frame, len))
 }
 
 // ---------------------------------------------------------------------------
@@ -1393,10 +1416,12 @@ impl WireClient {
     }
 
     /// Sends one frame without waiting for its reply — the transmit half
-    /// of a pipelined (windowed) exchange. The server still processes
-    /// strictly one frame per connection at a time and replies in order,
-    /// so pipelining overlaps scheduling without changing semantics;
-    /// collect each reply with [`WireClient::recv_reply`].
+    /// of a pipelined (windowed) exchange. The server applies a
+    /// connection's frames in send order and replies in that order; a
+    /// reactor daemon queues the mutation frames it already holds as one
+    /// run and acks the run with one write, so pipelining amortizes
+    /// per-frame overhead without changing semantics. Collect each reply
+    /// with [`WireClient::recv_reply`].
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), WireError> {
         write_frame(&mut self.stream, frame)
     }
@@ -1774,13 +1799,16 @@ struct ServerState<S> {
     reactor: Option<Reactor>,
 }
 
-/// One decoded mutation frame parked in the apply queue, with the byte
-/// cost it holds against [`ReactorOptions::queue_bytes`] and the channel
-/// its handler waits on for the ack.
+/// One connection's run of decoded mutation frames parked in the apply
+/// queue, with the byte cost it holds against
+/// [`ReactorOptions::queue_bytes`] and the sending half of the run's own
+/// reply channel. That sender is the only one: if a worker unwinds with
+/// the run, the handler's wait ends with a typed failure instead of
+/// parking forever.
 struct QueuedOp {
-    frame: Frame,
+    frames: Vec<Frame>,
     cost: usize,
-    reply: mpsc::Sender<Frame>,
+    reply: mpsc::Sender<Vec<Frame>>,
 }
 
 #[derive(Default)]
@@ -1790,14 +1818,14 @@ struct QueueInner {
     stopped: bool,
 }
 
-/// Outcome of offering a frame to the bounded apply queue.
+/// Outcome of offering a run to the bounded apply queue.
 enum Push {
     Queued,
     Full,
     Stopped,
 }
 
-/// The ingestion reactor: a bounded MPSC apply queue fed by every
+/// The ingestion reactor: a bounded MPSC apply queue of runs fed by every
 /// connection handler and drained in coalesced batches by a small worker
 /// pool ([`worker_loop`]), plus the connection/backpressure counters the
 /// `status` frame reports.
@@ -1827,7 +1855,7 @@ impl Reactor {
         if q.stopped {
             return Push::Stopped;
         }
-        // A frame larger than the whole byte budget is still admitted when
+        // A run larger than the whole byte budget is still admitted when
         // the queue is empty — otherwise it could never be served at all.
         let fits = q.ops.len() < self.opts.queue_ops.max(1)
             && (q.ops.is_empty() || q.bytes + op.cost <= self.opts.queue_bytes);
@@ -1840,14 +1868,47 @@ impl Reactor {
         Push::Queued
     }
 
-    /// Blocks until work is available, then drains up to
-    /// [`ReactorOptions::coalesce`] frames. `None` means the reactor is
-    /// stopped *and* drained — the worker should exit.
+    /// Queues one connection's run and waits for its replies, one per
+    /// frame in run order. A full queue sheds every frame of the run with
+    /// [`WireError::Throttled`]. `None`: the server's idle bound (`None`
+    /// waits indefinitely) expired first.
+    fn submit(
+        &self,
+        frames: Vec<Frame>,
+        cost: usize,
+        idle: Option<Duration>,
+    ) -> Option<Vec<Frame>> {
+        let n = frames.len();
+        let (reply, rx) = mpsc::channel();
+        let refusal = match self.try_push(QueuedOp { frames, cost, reply }) {
+            Push::Queued => return wait_ack(&rx, n, idle),
+            Push::Full => {
+                self.throttled.fetch_add(n as u64, Ordering::Relaxed);
+                WireError::Throttled { retry_after_ms: self.opts.retry_after_ms }
+            }
+            Push::Stopped => WireError::Failed { message: "server is shutting down".into() },
+        };
+        Some(vec![Frame::Error(refusal); n])
+    }
+
+    /// Blocks until work is available, then drains whole runs, up to
+    /// [`ReactorOptions::coalesce`] frames but always at least one run.
+    /// `None` means the reactor is stopped *and* drained — the worker
+    /// should exit.
     fn pop_batch(&self) -> Option<Vec<QueuedOp>> {
         let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if !q.ops.is_empty() {
-                let take = q.ops.len().min(self.opts.coalesce.max(1));
+                let budget = self.opts.coalesce.max(1);
+                let mut take = 1;
+                let mut frames = q.ops[0].frames.len();
+                while let Some(op) = q.ops.get(take) {
+                    frames += op.frames.len();
+                    if frames > budget {
+                        break;
+                    }
+                    take += 1;
+                }
                 let batch: Vec<QueuedOp> = q.ops.drain(..take).collect();
                 q.bytes -= batch.iter().map(|op| op.cost).sum::<usize>();
                 return Some(batch);
@@ -1936,56 +1997,63 @@ fn apply_mutation<S: WireSession>(session: &mut S, frame: &Frame) -> Frame {
     }
 }
 
-/// One apply worker: drains coalesced batches off the reactor queue and
-/// applies them under a *single* session-lock acquisition — and, for a
-/// durable session, a single group commit ([`WireSession::defer_acks`] /
-/// [`WireSession::commit_acks`]), so one journal fsync covers many
-/// connections' frames. Acks are sent only after the commit succeeds,
-/// preserving "acked implies recoverable" batch-wide; per-channel frame
-/// order is preserved because the protocol allows one outstanding frame
-/// per connection and the queue is FIFO.
+/// One apply worker: drains coalesced batches of runs off the reactor
+/// queue and applies them under a *single* session-lock acquisition —
+/// and, for a durable session, a single group commit
+/// ([`WireSession::defer_acks`] / [`WireSession::commit_acks`]), so one
+/// journal fsync covers many connections' frames. Acks are sent only
+/// after the commit succeeds, preserving "acked implies recoverable"
+/// batch-wide. Per-channel frame order is preserved: a connection has at
+/// most one run queued at a time, each run is applied in order, and the
+/// queue is FIFO.
 fn worker_loop<S: WireSession>(state: &ServerState<S>) {
     let reactor = state.reactor.as_ref().expect("worker requires a reactor");
     while let Some(batch) = reactor.pop_batch() {
         if let Some(stall) = reactor.opts.apply_stall {
             std::thread::sleep(stall);
         }
-        let mut replies = Vec::with_capacity(batch.len());
+        let mut replies: Vec<Vec<Frame>> = Vec::with_capacity(batch.len());
         {
             let mut session = state.lock();
             session.defer_acks();
             for op in &batch {
-                replies.push(apply_mutation(&mut *session, &op.frame));
+                let run = op.frames.iter().map(|f| apply_mutation(&mut *session, f));
+                replies.push(run.collect());
             }
             if let Err(e) = session.commit_acks() {
                 // The group commit failed: nothing in this batch is known
                 // durable, so no frame in it may be acknowledged as
                 // applied.
-                for reply in &mut replies {
+                for reply in replies.iter_mut().flatten() {
                     if matches!(reply, Frame::Ok) {
                         *reply = Frame::Error(WireError::Rejected(e.clone()));
                     }
                 }
             }
         }
-        for (op, reply) in batch.into_iter().zip(replies) {
+        for (op, replies) in batch.into_iter().zip(replies) {
             // A handler that gave up (idle deadline hit, socket died) has
-            // dropped its receiver; the frame is applied either way and a
+            // dropped its receiver; the run is applied either way and a
             // retry on a fresh connection dedups via the replay guard.
-            let _ = op.reply.send(reply);
+            let _ = op.reply.send(replies);
         }
     }
 }
 
-/// Waits for a queued frame's ack, bounded by the server's idle timeout
-/// (`None` waits indefinitely). `None` result: the bound expired.
-fn wait_ack(rx: &mpsc::Receiver<Frame>, idle: Option<Duration>) -> Option<Frame> {
+/// Waits for a queued run's `n` replies, bounded by the server's idle
+/// timeout (`None` waits indefinitely). `None` result: the bound expired.
+fn wait_ack(
+    rx: &mpsc::Receiver<Vec<Frame>>,
+    n: usize,
+    idle: Option<Duration>,
+) -> Option<Vec<Frame>> {
+    // The run's only sender was dropped unanswered: its worker unwound.
     let workers_gone =
-        || Frame::Error(WireError::Failed { message: "apply workers exited".into() });
+        || vec![Frame::Error(WireError::Failed { message: "apply workers exited".into() }); n];
     match idle {
         None => Some(rx.recv().unwrap_or_else(|_| workers_gone())),
         Some(bound) => match rx.recv_timeout(bound) {
-            Ok(reply) => Some(reply),
+            Ok(replies) => Some(replies),
             Err(mpsc::RecvTimeoutError::Timeout) => None,
             Err(mpsc::RecvTimeoutError::Disconnected) => Some(workers_gone()),
         },
@@ -2109,16 +2177,15 @@ where
         Ok(clone) => std::io::BufReader::with_capacity(32 * 1024, clone),
         Err(_) => return,
     };
-    // One ack channel per connection, reused across frames: the protocol
-    // is request/reply, so at most one frame from this connection is ever
-    // parked in the apply queue.
-    let (ack_tx, ack_rx) = mpsc::channel();
     // Authentication is connection-scoped: with tokens configured, nothing
     // reaches the session until a hello carrying a recognized token
     // succeeds on *this* connection.
     let mut authed = state.auth_tokens.is_empty();
+    // A frame already read off the buffer that ended the previous run.
+    let mut next = None;
     loop {
-        let (frame, cost) = match read_frame_sized(&mut reader) {
+        let read = next.take().map_or_else(|| read_frame_sized(&mut reader), Ok);
+        let (frame, cost) = match read {
             Ok(pair) => pair,
             // EOF / disconnect: the client is done with this connection.
             Err(WireError::Io { .. }) => return,
@@ -2164,42 +2231,47 @@ where
                 continue;
             }
         }
-        let reply = match &state.reactor {
+        let replies = match &state.reactor {
             Some(reactor) if is_reactor_op(&frame) => {
-                match reactor.try_push(QueuedOp { frame, cost, reply: ack_tx.clone() }) {
-                    Push::Queued => match wait_ack(&ack_rx, state.idle_timeout) {
-                        Some(reply) => reply,
-                        None => {
-                            // Parked past the idle bound behind a wedged
-                            // apply queue: reap with the same typed
-                            // farewell a silent client gets. The frame may
-                            // still apply later; a retry on a fresh
-                            // connection dedups via the replay guard.
-                            let _ = write_frame(
-                                &mut stream,
-                                &Frame::Error(WireError::Timeout {
-                                    what: "apply queue stalled past idle deadline; \
-                                           connection closed by server"
-                                        .into(),
-                                }),
-                            );
-                            return;
+                // The run: this frame plus every further mutation frame
+                // the client has already pipelined into the buffer, queued
+                // as one unit and acked with one write.
+                let (mut run, mut run_cost) = (vec![frame], cost);
+                while run.len() < reactor.opts.coalesce.max(1) {
+                    match read_buffered_frame(&mut reader) {
+                        Some((frame, cost)) if is_reactor_op(&frame) => {
+                            run.push(frame);
+                            run_cost += cost;
                         }
-                    },
-                    Push::Full => {
-                        reactor.throttled.fetch_add(1, Ordering::Relaxed);
-                        Frame::Error(WireError::Throttled {
-                            retry_after_ms: reactor.opts.retry_after_ms,
-                        })
+                        other => {
+                            next = other;
+                            break;
+                        }
                     }
-                    Push::Stopped => Frame::Error(WireError::Failed {
-                        message: "server is shutting down".into(),
-                    }),
+                }
+                match reactor.submit(run, run_cost, state.idle_timeout) {
+                    Some(replies) => replies,
+                    None => {
+                        // Parked past the idle bound behind a wedged apply
+                        // queue: reap with the same typed farewell a silent
+                        // client gets. The run may still apply later; a
+                        // retry on a fresh connection dedups via the replay
+                        // guard.
+                        let _ = write_frame(
+                            &mut stream,
+                            &Frame::Error(WireError::Timeout {
+                                what: "apply queue stalled past idle deadline; \
+                                       connection closed by server"
+                                    .into(),
+                            }),
+                        );
+                        return;
+                    }
                 }
             }
-            _ => state.dispatch(frame, extra),
+            _ => vec![state.dispatch(frame, extra)],
         };
-        if write_frame(&mut stream, &reply).is_err() {
+        if write_frames(&mut stream, &replies).is_err() {
             return;
         }
         if state.stop.load(Ordering::SeqCst) {
@@ -2239,10 +2311,11 @@ impl<S> ServerState<S> {
 /// survive a kill (`experiments serve --journal`).
 ///
 /// Connections are handled on their own scoped threads; under the
-/// default reactor their mutation frames funnel through a bounded apply
-/// queue to a worker pool (see [`ServeOptions::reactor`]), so many report
-/// sources stream concurrently while the session lock is taken once per
-/// coalesced batch instead of once per frame. Definition 2 is enforced at
+/// default reactor their mutation frames funnel, one buffered run per
+/// connection, through a bounded apply queue to a worker pool (see
+/// [`ServeOptions::reactor`]), so many report sources stream concurrently
+/// while the session lock is taken once per coalesced batch instead of
+/// once per frame. Definition 2 is enforced at
 /// the door by the session's own typed rejections, which travel back as
 /// [`WireError::Rejected`].
 ///
@@ -2275,13 +2348,14 @@ pub struct ServeOptions {
     /// tokens succeeds.
     pub auth_tokens: Vec<u64>,
     /// Ingestion-reactor configuration. `Some` (the default) serves the
-    /// bounded-worker reactor: mutation frames cross a bounded apply
-    /// queue to a worker pool that applies coalesced batches under one
-    /// lock acquisition (one group commit for a durable session), with
-    /// [`WireError::Throttled`] backpressure when the queue or connection
-    /// table is full. `None` restores the thread-per-connection
-    /// lock-per-frame path (`experiments serve --legacy`), kept
-    /// selectable as the storm harness's baseline.
+    /// bounded-worker reactor: each connection's buffered run of mutation
+    /// frames crosses a bounded apply queue as one unit to a worker pool
+    /// that applies coalesced batches under one lock acquisition (one
+    /// group commit for a durable session), with [`WireError::Throttled`]
+    /// backpressure when the queue or connection table is full. `None`
+    /// restores the thread-per-connection lock-per-frame path
+    /// (`experiments serve --legacy`), kept selectable as the storm
+    /// harness's baseline.
     pub reactor: Option<ReactorOptions>,
 }
 
@@ -2306,12 +2380,14 @@ pub struct ReactorOptions {
     /// therefore recovery and finalize) is identical for any worker
     /// count.
     pub workers: usize,
-    /// Frame-count bound on the apply queue; a frame arriving at a full
-    /// queue is shed with [`WireError::Throttled`].
+    /// Bound on runs parked in the apply queue. A run is one connection's
+    /// buffered mutation frames, queued as one unit, and a connection has
+    /// at most one run queued; a run arriving at a full queue is shed
+    /// with one [`WireError::Throttled`] reply per frame.
     pub queue_ops: usize,
     /// Byte bound on queued frame payloads (body bytes as read off the
-    /// wire), so memory held by parked frames stays bounded regardless of
-    /// frame size. A frame larger than the whole budget is still admitted
+    /// wire), so memory held by parked runs stays bounded regardless of
+    /// frame size. A run larger than the whole budget is still admitted
     /// when the queue is empty.
     pub queue_bytes: usize,
     /// Open-connection cap; connections accepted beyond it are told
@@ -2319,8 +2395,11 @@ pub struct ReactorOptions {
     pub max_connections: usize,
     /// The backoff hint carried in every throttle reply.
     pub retry_after_ms: u64,
-    /// Most frames one worker applies per session-lock acquisition (and,
-    /// for a durable session, per group commit / journal fsync).
+    /// Most frames in one run (a handler stops gathering a connection's
+    /// buffered frames there), and most frames one worker applies per
+    /// session-lock acquisition (and, for a durable session, per group
+    /// commit / journal fsync). A worker takes whole runs only, and always
+    /// at least one.
     pub coalesce: usize,
     /// Fault injection for tests: sleep this long before applying each
     /// batch, simulating a wedged durability layer under the queue.

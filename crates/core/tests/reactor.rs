@@ -1,21 +1,29 @@
 //! The bounded-worker ingestion reactor under load: backpressure sheds
 //! typed [`WireError::Throttled`] frames before they touch the session,
 //! retry-with-backoff lands every report exactly once (a property checked
-//! over seeded storm schedules), connections parked in the apply queue
-//! are reaped by the idle timeout, the connection cap sheds at accept,
-//! the `status` frame surfaces the reactor counters, and a reactor daemon
-//! serves state bit-identical to the legacy thread-per-connection path.
+//! over seeded storm schedules and pipelining windows), a connection's
+//! pipelined run of frames is applied and acked in send order, a worker
+//! that unwinds mid-batch fails its runs typed, connections parked in the
+//! apply queue are reaped by the idle timeout, the connection cap sheds
+//! at accept, the `status` frame surfaces the reactor counters, and a
+//! reactor daemon serves state bit-identical to the legacy
+//! thread-per-connection path.
 
 use dap_core::net::{
-    read_frame, serve_session_with, Frame, ReactorOptions, ServeOptions, WireClient, WireError,
+    encode_frame, read_frame, serve_session_with, write_frame, Deadlines, Frame, ReactorOptions,
+    ServeOptions, StatusCounters, WireClient, WireError, WireSession,
 };
-use dap_core::{DapConfig, DapError, DapSession, GroupPlan, Scheme};
+use dap_core::{
+    DapConfig, DapError, DapOutput, DapSession, GroupPlan, MaskedPart, Scheme, SecaggRole,
+    SessionPart,
+};
 use dap_estimation::rng::seeded;
 use dap_ldp::PiecewiseMechanism;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::net::TcpListener;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -81,19 +89,66 @@ fn send_with_retry(
     }
 }
 
+/// Go-Back-N over one connection: up to `window` sequenced frames in
+/// flight, replies collected in order. A throttled frame means every
+/// later frame in flight is refused too (throttled with it, or bounced
+/// off the replay guard as a sequence gap), so the client drains those
+/// refusals, sleeps the strictest hint and resends from the shed frame.
+fn stream_window(
+    c: &mut WireClient,
+    channel: u64,
+    group: usize,
+    plan: &[Vec<f64>],
+    window: usize,
+) {
+    let total = plan.len() as u64;
+    let (mut base, mut next) = (1u64, 1u64);
+    while base <= total {
+        if next <= total && next < base + window as u64 {
+            let reports = plan[next as usize - 1].clone();
+            let frame = Frame::IngestBatchSeq { channel, seq: next, group, reports };
+            c.send_frame(&frame).expect("send");
+            next += 1;
+            continue;
+        }
+        let mut hint_ms = match c.recv_reply() {
+            Ok(Frame::Ok) => {
+                base += 1;
+                continue;
+            }
+            Err(WireError::Throttled { retry_after_ms }) => retry_after_ms,
+            other => panic!("frame {base}: expected ok or a throttle, got {other:?}"),
+        };
+        for seq in base + 1..next {
+            match c.recv_reply() {
+                Err(WireError::Throttled { retry_after_ms }) => {
+                    hint_ms = hint_ms.max(retry_after_ms)
+                }
+                Err(WireError::Rejected(DapError::SequenceGap { .. })) => {}
+                other => panic!("frame {seq} behind a shed: expected a refusal, got {other:?}"),
+            }
+        }
+        std::thread::sleep(Duration::from_millis(hint_ms.max(1)));
+        next = base;
+    }
+}
+
 proptest! {
     /// Seeded storm schedules: each client owns one group and one
-    /// sequencing channel and streams its batches concurrently through a
-    /// deliberately starved reactor (one worker, one queue slot, stalled
-    /// applies), retrying every [`WireError::Throttled`] shed. Whatever
-    /// the interleaving and however many sheds occur, the served state
-    /// must be bit-identical to a clean local twin — every report landed
-    /// exactly once, in its channel's order.
+    /// sequencing channel and streams its batches concurrently with up to
+    /// `window` frames in flight, through deliberately starved reactors
+    /// (one worker, one queue slot, stalled applies) and through the
+    /// default one, retrying every [`WireError::Throttled`] shed.
+    /// Whatever the interleaving, the run boundaries and however many
+    /// sheds occur, the served state must be bit-identical to a clean
+    /// local twin — every report landed exactly once, in its channel's
+    /// order.
     #[test]
     fn storm_retry_lands_every_report_exactly_once(
         seed in 0u64..1_000_000,
         clients in 1usize..4,
-        batches in 1usize..5,
+        batches in 1usize..12,
+        window in 1usize..17,
     ) {
         let local = session(seed);
         let digest = local.state_digest();
@@ -122,33 +177,223 @@ proptest! {
             }
         }
 
-        let options = ServeOptions {
-            reactor: Some(tiny_reactor(Duration::from_millis(1))),
-            ..ServeOptions::default()
-        };
-        let (addr, handle) = daemon_with(local, options);
-        std::thread::scope(|scope| {
-            for (g, plan) in plans.iter().enumerate() {
-                let addr = addr.clone();
-                scope.spawn(move || {
-                    let channel = 0xc0ffee + g as u64;
-                    let mut c = connect(&addr);
-                    c.hello_channel(digest, channel).expect("handshake");
-                    for (i, batch) in plan.iter().enumerate() {
-                        send_with_retry(&mut c, channel, i as u64 + 1, g, batch);
-                    }
-                });
-            }
-        });
+        // Starved with one-frame runs, starved with runs of up to four
+        // frames (a shed refuses a whole run), and the default reactor.
+        let starved = tiny_reactor(Duration::from_millis(1));
+        let reactors =
+            [starved.clone(), ReactorOptions { coalesce: 4, ..starved }, ReactorOptions::default()];
+        for reactor in reactors {
+            let options = ServeOptions { reactor: Some(reactor), ..ServeOptions::default() };
+            let (addr, handle) = daemon_with(local.clone(), options);
+            std::thread::scope(|scope| {
+                for (g, plan) in plans.iter().enumerate() {
+                    let addr = addr.clone();
+                    scope.spawn(move || {
+                        let channel = 0xc0ffee + g as u64;
+                        let mut c = connect(&addr);
+                        c.hello_channel(digest, channel).expect("handshake");
+                        stream_window(&mut c, channel, g, plan, window);
+                    });
+                }
+            });
 
-        let mut c = connect(&addr);
-        c.hello(digest).expect("handshake");
-        let part = c.pull_part().expect("pull");
-        c.shutdown().expect("shutdown");
-        let served = handle.join().expect("daemon thread");
-        prop_assert_eq!(&part, &twin.export_part(), "storm lost or duplicated a report");
-        prop_assert_eq!(&served.export_part(), &twin.export_part());
+            let mut c = connect(&addr);
+            c.hello(digest).expect("handshake");
+            let part = c.pull_part().expect("pull");
+            c.shutdown().expect("shutdown");
+            let served = handle.join().expect("daemon thread");
+            prop_assert_eq!(&part, &twin.export_part(), "storm lost or duplicated a report");
+            prop_assert_eq!(&served.export_part(), &twin.export_part());
+        }
     }
+}
+
+/// A length-prefixed frame body as it travels on the wire, so a test can
+/// put several frames, or a body `encode_frame` would never produce, into
+/// one write.
+fn wire(body: &str) -> Vec<u8> {
+    let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(body.as_bytes());
+    bytes
+}
+
+#[test]
+fn a_pipelined_run_is_applied_and_acked_in_send_order() {
+    // One write carries three `seq-batch` frames, a `status`, two more
+    // `seq-batch` frames and a `seq-batch` that fails to decode. The
+    // handler may cut runs anywhere it likes, but a non-mutation frame
+    // ends a run: replies come back in send order, `status` counts exactly
+    // the reports sent before it, every frame before the bad one is
+    // applied and acked, and the bad one closes the connection with the
+    // typed parse error, as a lone bad frame does.
+    let local = session(17);
+    let digest = local.state_digest();
+    let (addr, handle) = daemon_with(local.clone(), ServeOptions::default());
+    const CH: u64 = 0x7a11;
+    let batches: [&[f64]; 5] = [&[0.5, -0.5], &[0.25], &[-0.125, 0.75, 0.0], &[1.0], &[-1.0, 0.5]];
+
+    let mut stream = TcpStream::connect(&addr).expect("tcp connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read deadline");
+    let hello = Frame::Hello {
+        version: dap_core::net::WIRE_VERSION.into(),
+        digest,
+        channel: Some(CH),
+        auth: None,
+        commit: None,
+    };
+    write_frame(&mut stream, &hello).expect("send hello");
+    assert!(matches!(read_frame(&mut stream), Ok(Frame::HelloOk { .. })));
+
+    let seq_batch = |i: usize| Frame::IngestBatchSeq {
+        channel: CH,
+        seq: i as u64 + 1,
+        group: i % 3,
+        reports: batches[i].to_vec(),
+    };
+    let mut pipelined = Vec::new();
+    for i in 0..3 {
+        pipelined.extend(wire(&encode_frame(&seq_batch(i))));
+    }
+    pipelined.extend(wire(&encode_frame(&Frame::Status)));
+    for i in 3..5 {
+        pipelined.extend(wire(&encode_frame(&seq_batch(i))));
+    }
+    // Claims two reports, carries one.
+    pipelined.extend(wire(&format!("seq-batch 0x{CH:016x} 6 0 2\n0x3fe0000000000000")));
+    stream.write_all(&pipelined).expect("pipelined write");
+
+    for i in 0..3 {
+        assert_eq!(read_frame(&mut stream).expect("ack"), Frame::Ok, "frame {i}");
+    }
+    match read_frame(&mut stream).expect("status reply") {
+        Frame::StatusOk { ingested, .. } => assert_eq!(ingested, 2 + 1 + 3),
+        other => panic!("expected status-ok, got {other:?}"),
+    }
+    for i in 3..5 {
+        assert_eq!(read_frame(&mut stream).expect("ack"), Frame::Ok, "frame {i}");
+    }
+    match read_frame(&mut stream).expect("farewell") {
+        Frame::Error(WireError::BadFrame { reason }) => {
+            assert!(reason.contains("report"), "{reason}")
+        }
+        other => panic!("expected the typed bad-frame farewell, got {other:?}"),
+    }
+    // The handler is gone: nothing answers on this connection any more.
+    stream.set_read_timeout(Some(Duration::from_millis(200))).expect("read deadline");
+    let _ = write_frame(&mut stream, &Frame::Status);
+    assert!(
+        matches!(read_frame(&mut stream), Err(WireError::Timeout { .. } | WireError::Io { .. })),
+        "the connection must not be served after a bad frame"
+    );
+
+    let mut twin = local;
+    for (i, batch) in batches.iter().enumerate() {
+        twin.ingest_batch_seq(CH, i as u64 + 1, i % 3, batch).expect("twin ingest");
+    }
+    let mut c = connect(&addr);
+    c.hello(digest).expect("handshake");
+    assert_eq!(c.pull_part().expect("pull"), twin.export_part());
+    c.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
+/// Reports equal to this make [`PanicOnSentinel`] unwind mid-apply.
+const SENTINEL: f64 = 0.375;
+
+/// A [`DapSession`] whose `seq-batch` apply panics on [`SENTINEL`]: the
+/// test double for an apply worker unwinding with runs in hand.
+struct PanicOnSentinel(DapSession<PiecewiseMechanism>);
+
+impl WireSession for PanicOnSentinel {
+    fn state_digest(&self) -> u64 {
+        self.0.state_digest()
+    }
+    fn group_count(&self) -> usize {
+        self.0.group_count()
+    }
+    fn ingest(&mut self, group: usize, report: f64) -> Result<(), DapError> {
+        self.0.ingest(group, report)
+    }
+    fn ingest_batch(&mut self, group: usize, reports: &[f64]) -> Result<(), DapError> {
+        self.0.ingest_batch(group, reports)
+    }
+    fn ingest_batch_seq(
+        &mut self,
+        channel: u64,
+        seq: u64,
+        group: usize,
+        reports: &[f64],
+    ) -> Result<(), DapError> {
+        assert!(!reports.contains(&SENTINEL), "sentinel report reached apply");
+        self.0.ingest_batch_seq(channel, seq, group, reports)
+    }
+    fn last_seq(&self, channel: u64) -> Option<u64> {
+        self.0.last_seq(channel)
+    }
+    fn ingested_total(&self) -> usize {
+        WireSession::ingested_total(&self.0)
+    }
+    fn export_part(&self) -> SessionPart {
+        self.0.export_part()
+    }
+    fn merge_part(&mut self, part: &SessionPart) -> Result<(), DapError> {
+        self.0.merge_part(part)
+    }
+    fn finalize(&self, schemes: &[Scheme]) -> Result<Vec<DapOutput>, DapError> {
+        self.0.finalize(schemes)
+    }
+    fn secagg_role(&self) -> Option<SecaggRole> {
+        self.0.secagg_role()
+    }
+    fn adopt_commitment(&mut self, commitment: u64) -> Result<(), DapError> {
+        self.0.adopt_commitment(commitment)
+    }
+    fn ingest_shares(
+        &mut self,
+        channel: u64,
+        seq: u64,
+        group: usize,
+        counts: &[u64],
+    ) -> Result<(), DapError> {
+        self.0.ingest_shares(channel, seq, group, counts)
+    }
+    fn export_masked_part(&self) -> Result<MaskedPart, DapError> {
+        self.0.export_masked_part()
+    }
+    fn status_counters(&self) -> StatusCounters {
+        WireSession::status_counters(&self.0)
+    }
+}
+
+#[test]
+fn a_worker_that_unwinds_mid_batch_fails_its_run_typed() {
+    // A worker that unwinds mid-batch drops the runs it holds, and with
+    // each its only reply sender: the waiting handler must answer with a
+    // typed failure, well inside the client's read deadline, even though
+    // no idle timeout is configured to reap it.
+    let local = session(18);
+    let digest = local.state_digest();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let handle = std::thread::spawn(move || {
+        serve_session_with(listener, PanicOnSentinel(local), |_| None, ServeOptions::default())
+    });
+    let deadlines = Deadlines::all(Duration::from_secs(5));
+    let mut c = WireClient::connect_retry_with(&addr, 50, Duration::from_millis(20), &deadlines)
+        .expect("daemon reachable");
+    c.hello_channel(digest, 9).expect("handshake");
+    match c.ingest_batch_seq(9, 1, 0, &[0.5, SENTINEL]) {
+        Err(WireError::Failed { message }) => {
+            assert!(message.contains("apply workers exited"), "{message}")
+        }
+        other => panic!("expected the typed failure, got {other:?}"),
+    }
+    // The other worker keeps serving the connection.
+    c.ingest_batch_seq(9, 1, 0, &[0.5]).expect("the surviving worker applies");
+    c.shutdown().expect("shutdown");
+    // The serve scope re-raises the worker's panic when it joins; failing
+    // the session closed after a panic is a separate concern.
+    assert!(handle.join().is_err(), "the worker's panic surfaces at shutdown");
 }
 
 #[test]
