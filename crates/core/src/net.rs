@@ -57,7 +57,7 @@ use crate::secagg::{MaskedGroup, MaskedPart, SecaggRole};
 use crate::session::{DapSession, PartGroup, SessionPart};
 use dap_attack::Side;
 use dap_ldp::NumericMechanism;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -748,11 +748,22 @@ fn encode_error(s: &mut String, e: &WireError) {
 /// [`WireError::BadFrame`] naming the missing piece.
 struct Tokens<'a> {
     it: std::str::SplitWhitespace<'a>,
+    /// Address one past the body's last byte, for [`Tokens::capacity`].
+    end: usize,
 }
 
 impl<'a> Tokens<'a> {
     fn new(body: &'a str) -> Tokens<'a> {
-        Tokens { it: body.split_whitespace() }
+        Tokens { it: body.split_whitespace(), end: body.as_ptr() as usize + body.len() }
+    }
+
+    /// `count`, an element count read off the wire, clamped to the most
+    /// elements the unread rest of the body can encode (each takes at
+    /// least a byte and a separator). Preallocating by this keeps honest
+    /// frames exact while a forged count cannot allocate past the frame.
+    fn capacity(&self, count: usize) -> usize {
+        let rest = self.peek().map_or(0, |tok| self.end - tok.as_ptr() as usize);
+        count.min(rest.div_ceil(2))
     }
 
     fn bad(what: &str) -> WireError {
@@ -810,13 +821,13 @@ impl<'a> Tokens<'a> {
 fn parse_part(t: &mut Tokens) -> Result<SessionPart, WireError> {
     let digest = t.hex_u64("part digest")?;
     let n_groups = t.usize("part group count")?;
-    let mut groups = Vec::with_capacity(n_groups);
+    let mut groups = Vec::with_capacity(t.capacity(n_groups));
     for _ in 0..n_groups {
         t.literal("group")?;
         let n_reports = t.usize("group report count")?;
         let sum_reports = t.hex_f64("group report sum")?;
         let n_buckets = t.usize("group bucket count")?;
-        let mut counts = Vec::with_capacity(n_buckets);
+        let mut counts = Vec::with_capacity(t.capacity(n_buckets));
         for _ in 0..n_buckets {
             counts.push(t.hex_f64("bucket count")?);
         }
@@ -826,7 +837,7 @@ fn parse_part(t: &mut Tokens) -> Result<SessionPart, WireError> {
     if t.peek() == Some("seqs") {
         t.literal("seqs")?;
         let n = t.usize("channel count")?;
-        channels.reserve(n);
+        channels.reserve(t.capacity(n));
         for _ in 0..n {
             let channel = t.hex_u64("channel id")?;
             let seq = t.u64("channel seq")?;
@@ -842,11 +853,11 @@ fn parse_masked_part(t: &mut Tokens) -> Result<MaskedPart, WireError> {
     let index = t.usize("masked-part index")?;
     let commitment = t.hex_u64("masked-part commitment")?;
     let n_groups = t.usize("masked-part group count")?;
-    let mut groups = Vec::with_capacity(n_groups);
+    let mut groups = Vec::with_capacity(t.capacity(n_groups));
     for _ in 0..n_groups {
         t.literal("mgroup")?;
         let n_buckets = t.usize("masked group bucket count")?;
-        let mut counts = Vec::with_capacity(n_buckets);
+        let mut counts = Vec::with_capacity(t.capacity(n_buckets));
         for _ in 0..n_buckets {
             counts.push(t.hex_u64("masked bucket word")?);
         }
@@ -856,7 +867,7 @@ fn parse_masked_part(t: &mut Tokens) -> Result<MaskedPart, WireError> {
     if t.peek() == Some("seqs") {
         t.literal("seqs")?;
         let n = t.usize("channel count")?;
-        channels.reserve(n);
+        channels.reserve(t.capacity(n));
         for _ in 0..n {
             let channel = t.hex_u64("channel id")?;
             let seq = t.u64("channel seq")?;
@@ -868,7 +879,7 @@ fn parse_masked_part(t: &mut Tokens) -> Result<MaskedPart, WireError> {
 
 fn parse_outputs(t: &mut Tokens) -> Result<Vec<DapOutput>, WireError> {
     let n = t.usize("output count")?;
-    let mut outputs = Vec::with_capacity(n);
+    let mut outputs = Vec::with_capacity(t.capacity(n));
     for _ in 0..n {
         t.literal("output")?;
         let mean = t.hex_f64("output mean")?;
@@ -882,7 +893,7 @@ fn parse_outputs(t: &mut Tokens) -> Result<Vec<DapOutput>, WireError> {
         let gamma = t.hex_f64("output gamma")?;
         let min_variance = t.hex_f64("output min_variance")?;
         let n_groups = t.usize("output group count")?;
-        let mut groups = Vec::with_capacity(n_groups);
+        let mut groups = Vec::with_capacity(t.capacity(n_groups));
         for _ in 0..n_groups {
             t.literal("g")?;
             groups.push(GroupReport {
@@ -1039,7 +1050,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
         "ingest-batch" => {
             let group = t.usize("group")?;
             let count = t.usize("report count")?;
-            let mut reports = Vec::with_capacity(count);
+            let mut reports = Vec::with_capacity(t.capacity(count));
             for _ in 0..count {
                 reports.push(t.hex_f64("report")?);
             }
@@ -1050,7 +1061,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
             let seq = t.u64("seq")?;
             let group = t.usize("group")?;
             let count = t.usize("report count")?;
-            let mut reports = Vec::with_capacity(count);
+            let mut reports = Vec::with_capacity(t.capacity(count));
             for _ in 0..count {
                 reports.push(t.hex_f64("report")?);
             }
@@ -1061,7 +1072,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
             let seq = t.u64("seq")?;
             let group = t.usize("group")?;
             let count = t.usize("share word count")?;
-            let mut counts = Vec::with_capacity(count);
+            let mut counts = Vec::with_capacity(t.capacity(count));
             for _ in 0..count {
                 counts.push(t.hex_u64("share word")?);
             }
@@ -1106,7 +1117,7 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
         "merge" => Frame::Merge { part: parse_part(&mut t)? },
         "finalize" => {
             let count = t.usize("scheme count")?;
-            let mut schemes = Vec::with_capacity(count);
+            let mut schemes = Vec::with_capacity(t.capacity(count));
             for _ in 0..count {
                 let label = t.next("scheme label")?;
                 schemes.push(Scheme::from_label(label).ok_or_else(|| WireError::BadFrame {
@@ -1784,11 +1795,13 @@ struct ServerState<S> {
     auth_tokens: Vec<u64>,
     stop: AtomicBool,
     addr: std::net::SocketAddr,
-    /// Clones of every accepted connection, so a shutdown can unblock
-    /// handler threads parked in `read_frame` on *other* clients (scoped
-    /// threads are joined before `serve_session` returns — a lingering
-    /// idle client must not wedge the daemon).
-    conns: Mutex<Vec<TcpStream>>,
+    /// Clones of the live accepted connections, keyed by accept order, so
+    /// a shutdown can unblock handler threads parked in `read_frame` on
+    /// *other* clients (scoped threads are joined before `serve_session`
+    /// returns — a lingering idle client must not wedge the daemon). A
+    /// clone leaves with its handler ([`ConnEntry`]): a connection the
+    /// server ends is closed for real and its peer reads EOF.
+    conns: Mutex<HashMap<usize, TcpStream>>,
     /// The server's idle bound ([`ServeOptions::idle_timeout`]); under the
     /// reactor it also caps how long a handler stays parked waiting for a
     /// queued frame's ack, so a wedged apply queue cannot exempt its
@@ -1957,6 +1970,18 @@ struct ConnGuard<'a> {
 impl Drop for ConnGuard<'_> {
     fn drop(&mut self) {
         self.reactor.active.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Drops a connection's registered clone however its handler exits.
+struct ConnEntry<'a> {
+    conns: &'a Mutex<HashMap<usize, TcpStream>>,
+    id: usize,
+}
+
+impl Drop for ConnEntry<'_> {
+    fn drop(&mut self) {
+        self.conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.id);
     }
 }
 
@@ -2283,10 +2308,10 @@ where
 
 impl<S> ServerState<S> {
     /// Unblocks everything a shutdown must not wait on: half-closes every
-    /// accepted connection (handler threads parked in `read_frame` see
-    /// EOF and exit) and pokes the accept loop with a loopback connect.
+    /// live connection (handler threads parked in `read_frame` see EOF and
+    /// exit) and pokes the accept loop with a loopback connect.
     fn release(&self) {
-        for conn in self.conns.lock().unwrap_or_else(|e| e.into_inner()).drain(..) {
+        for (_, conn) in self.conns.lock().unwrap_or_else(|e| e.into_inner()).drain() {
             let _ = conn.shutdown(std::net::Shutdown::Both);
         }
         // The bind address may be a wildcard (0.0.0.0 / ::), which some
@@ -2438,7 +2463,7 @@ where
         session: Mutex::new(session),
         stop: AtomicBool::new(false),
         addr: listener.local_addr()?,
-        conns: Mutex::new(Vec::new()),
+        conns: Mutex::new(HashMap::new()),
         idle_timeout: options.idle_timeout,
         reactor: options.reactor.clone().map(Reactor::new),
     };
@@ -2449,7 +2474,7 @@ where
                 scope.spawn(move || worker_loop(state));
             }
         }
-        for conn in listener.incoming() {
+        for (id, conn) in listener.incoming().enumerate() {
             if state.stop.load(Ordering::SeqCst) {
                 break;
             }
@@ -2473,12 +2498,16 @@ where
                 }
             }
             stream.set_read_timeout(options.idle_timeout).ok();
-            if let Ok(clone) = stream.try_clone() {
-                state.conns.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
-            }
+            let entry = stream.try_clone().ok().map(|clone| {
+                state.conns.lock().unwrap_or_else(|e| e.into_inner()).insert(id, clone);
+                ConnEntry { conns: &state.conns, id }
+            });
             let state = &state;
             let extra = &extra;
-            scope.spawn(move || handle_connection(stream, state, extra));
+            scope.spawn(move || {
+                let _entry = entry;
+                handle_connection(stream, state, extra)
+            });
         }
         // The accept loop is done (shutdown): wake the workers so they
         // drain the queue — every parked handler still gets its ack — and
@@ -2884,5 +2913,32 @@ mod tests {
             read_frame(&mut &bytes[..]),
             Err(WireError::Io { .. })
         ));
+    }
+
+    #[test]
+    fn forged_counts_are_typed_errors_not_allocations() {
+        // Every count the decoder preallocates by, at the top level and
+        // nested, claiming far more elements than the body carries: a
+        // 33-byte frame must not ask for terabytes (an allocation failure
+        // aborts the process, it does not unwind).
+        for count in [1u64 << 40, usize::MAX as u64] {
+            for body in [
+                format!("ingest-batch 0 {count}"),
+                format!("seq-batch 0x1 0 0 {count}"),
+                format!("share-batch 0x1 0 0 {count}"),
+                format!("finalize {count}"),
+                format!("part 0x0 {count}"),
+                format!("part 0x0 1 group 0 0x0 {count}"),
+                format!("merge 0x0 {count}"),
+                format!("merge 0x0 0 seqs {count}"),
+                format!("masked-part 0x0 2 0 0x0 {count}"),
+                format!("masked-part 0x0 2 0 0x0 1 mgroup {count}"),
+                format!("masked-part 0x0 2 0 0x0 0 seqs {count}"),
+                format!("outputs {count}"),
+                format!("outputs 1 output 0x0 L 0x0 0x0 {count}"),
+            ] {
+                assert!(matches!(decode_frame(&body), Err(WireError::BadFrame { .. })), "{body}");
+            }
+        }
     }
 }

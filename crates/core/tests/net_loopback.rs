@@ -4,19 +4,21 @@
 //! Covers the full frame surface — handshake (version + digest), ingest,
 //! atomic batch rejection, pull/merge of serialized parts, remote
 //! finalize — and pins that every [`DapError`] rejection crosses the wire
-//! *typed*, with its fields intact. The bit-exact coordinator-vs-local
-//! equivalence suite lives in `crates/bench/tests/serve.rs`.
+//! *typed*, with its fields intact. Frames forged by an unauthenticated
+//! peer get a typed farewell, and a connection the server ends reads EOF.
+//! The bit-exact coordinator-vs-local equivalence suite lives in
+//! `crates/bench/tests/serve.rs`.
 
 use dap_core::net::{
-    serve_session, serve_session_with, Deadlines, Frame, ServeOptions, WireClient, WireError,
-    WIRE_VERSION,
+    read_frame, serve_session, serve_session_with, Deadlines, Frame, ServeOptions, WireClient,
+    WireError, WIRE_VERSION,
 };
 use dap_core::storage::{DurableOptions, DurableSession, FileBackend};
 use dap_core::{DapConfig, DapError, DapSession, GroupPlan, Scheme};
 use dap_estimation::rng::seeded;
 use dap_ldp::PiecewiseMechanism;
-use std::io::{BufRead, BufReader};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::thread::JoinHandle;
@@ -32,10 +34,18 @@ fn session(eps: f64, users: usize, seed: u64) -> DapSession<PiecewiseMechanism> 
 fn daemon(
     session: DapSession<PiecewiseMechanism>,
 ) -> (String, JoinHandle<DapSession<PiecewiseMechanism>>) {
+    daemon_with(session, ServeOptions::default())
+}
+
+/// [`daemon`] with explicit [`ServeOptions`].
+fn daemon_with(
+    session: DapSession<PiecewiseMechanism>,
+    options: ServeOptions,
+) -> (String, JoinHandle<DapSession<PiecewiseMechanism>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
     let handle = std::thread::spawn(move || {
-        serve_session(listener, session, |_| None).expect("serve")
+        serve_session_with(listener, session, |_| None, options).expect("serve")
     });
     (addr, handle)
 }
@@ -204,15 +214,11 @@ fn idle_connections_are_timed_out_but_the_daemon_keeps_serving() {
     // holding it forever, and stays healthy for the next client.
     let local = session(0.25, 120, 7);
     let digest = local.state_digest();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr").to_string();
     let options = ServeOptions {
         idle_timeout: Some(Duration::from_millis(100)),
         ..ServeOptions::default()
     };
-    let handle = std::thread::spawn(move || {
-        serve_session_with(listener, local, |_| None, options).expect("serve")
-    });
+    let (addr, handle) = daemon_with(local, options);
 
     let mut idle = connect(&addr);
     idle.hello(digest).expect("handshake");
@@ -463,5 +469,86 @@ fn concurrent_clients_share_one_daemon() {
     c.hello(digest).expect("handshake");
     assert_eq!(c.pull_part().expect("pull"), local.export_part());
     c.shutdown().expect("shutdown");
+    handle.join().expect("daemon thread");
+}
+
+/// A raw connection that has sent `body` as one length-prefixed frame,
+/// with a read deadline so a missing reply fails instead of hanging.
+fn send_raw(addr: &str, body: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("tcp connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("read deadline");
+    let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
+    bytes.extend_from_slice(body.as_bytes());
+    stream.write_all(&bytes).expect("send frame");
+    stream
+}
+
+/// The server closed `stream` for real: the next read is EOF, not the
+/// read deadline expiring on a socket the server still holds open.
+fn assert_eof(stream: &mut TcpStream, what: &str) {
+    let mut byte = [0u8; 1];
+    match stream.read(&mut byte) {
+        Ok(0) => {}
+        other => panic!("{what}: expected EOF after the farewell, got {other:?}"),
+    }
+}
+
+#[test]
+fn forged_counts_from_an_unauthenticated_peer_get_a_typed_farewell() {
+    // Frames are decoded before any hello or auth check, so a forged
+    // element count is the first thing a stranger can send. It must cost
+    // the daemon one typed refusal, not an 8 TiB allocation that aborts
+    // the process.
+    const TOKEN: u64 = 0x5eed_0a11;
+    let local = session(0.25, 120, 12);
+    let digest = local.state_digest();
+    let options = ServeOptions { auth_tokens: vec![TOKEN], ..ServeOptions::default() };
+    let (addr, handle) = daemon_with(local, options);
+
+    for body in ["ingest-batch 0 1099511627776", "seq-batch 0x1 0 0 1099511627776"] {
+        let mut stream = send_raw(&addr, body);
+        match read_frame(&mut stream) {
+            Ok(Frame::Error(WireError::BadFrame { .. })) => {}
+            other => panic!("{body}: expected the bad-frame farewell, got {other:?}"),
+        }
+        assert_eof(&mut stream, body);
+    }
+
+    // The daemon survived and serves the next client normally.
+    let mut c = connect(&addr);
+    c.set_auth(Some(TOKEN));
+    c.hello(digest).expect("authenticated handshake");
+    c.ingest_batch(0, &[0.5, -0.25]).expect("ingest");
+    c.shutdown().expect("shutdown");
+    let served = handle.join().expect("daemon thread");
+    assert_eq!(served.ingested(0), 2);
+}
+
+#[test]
+fn connections_the_server_ends_read_eof_after_the_farewell() {
+    // Once the server says goodbye — to a bad frame or to an idle peer —
+    // no clone of the socket stays behind, so the peer sees the close
+    // instead of waiting on a descriptor nobody will write to again.
+    let local = session(0.25, 120, 13);
+    let options =
+        ServeOptions { idle_timeout: Some(Duration::from_millis(100)), ..ServeOptions::default() };
+    let (addr, handle) = daemon_with(local, options);
+
+    let mut bad = send_raw(&addr, "warp-core-breach");
+    match read_frame(&mut bad) {
+        Ok(Frame::Error(WireError::BadFrame { .. })) => {}
+        other => panic!("expected the bad-frame farewell, got {other:?}"),
+    }
+    assert_eof(&mut bad, "bad frame");
+
+    let mut idle = send_raw(&addr, "status");
+    assert!(matches!(read_frame(&mut idle), Ok(Frame::StatusOk { .. })));
+    match read_frame(&mut idle) {
+        Ok(Frame::Error(WireError::Timeout { .. })) => {}
+        other => panic!("expected the idle farewell, got {other:?}"),
+    }
+    assert_eof(&mut idle, "idle reap");
+
+    connect(&addr).shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
 }

@@ -19,16 +19,20 @@ use rand::{Rng, RngCore};
 /// `subset_size < ln 2 / γ`; with larger subsets every subset carries the
 /// same expected poison bias and the defense degenerates toward Ostrich.
 /// The experiment harness reports it as-described either way.
+///
+/// The fields are private so every instance passes the constructors'
+/// checks: fewer than two subsets has no split to cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct KMeansDefense {
     /// Sampling rate β: each subset contains `⌈β·N⌉` reports (overridden by
     /// `subset_size` if set).
-    pub beta: f64,
-    /// Number of subsets to draw (the paper uses 10⁶; 10⁴–10⁵ behaves the
-    /// same and is the experiment default here).
-    pub subsets: usize,
+    beta: f64,
+    /// Number of subsets to draw, each costing one generator draw per
+    /// report it holds (`⌈β·N⌉`). The paper uses 10⁶; the Fig. 9 driver
+    /// uses 2 000.
+    subsets: usize,
     /// Optional absolute subset size overriding `β·N`.
-    pub subset_size: Option<usize>,
+    subset_size: Option<usize>,
 }
 
 impl KMeansDefense {
@@ -44,6 +48,42 @@ impl KMeansDefense {
         assert!(size >= 1, "subset size must be positive");
         assert!(subsets >= 2, "need at least two subsets");
         KMeansDefense { beta: 1.0, subsets, subset_size: Some(size) }
+    }
+
+    /// The defense's estimate ([`MeanDefense::estimate_mean`]), generic
+    /// over the generator. Method lookup prefers this inherent method, so a
+    /// caller holding a concrete generator (every experiment passes a
+    /// `StdRng`) gets the generator step inlined into the draw loop, while
+    /// `&mut dyn RngCore` callers draw the same words in the same order.
+    ///
+    /// The draw loop holds no call: a `dyn` call per draw, or the cold
+    /// reallocation a `push` brings into the loop nest, clobbers the
+    /// registers and spills `sum` to the stack, roughly doubling the cost
+    /// of a draw.
+    pub fn estimate_mean<R: RngCore + ?Sized>(&self, reports: &[f64], rng: &mut R) -> f64 {
+        if reports.is_empty() {
+            return 0.0;
+        }
+        let subset_size = self
+            .subset_size
+            .unwrap_or_else(|| (self.beta * reports.len() as f64).ceil() as usize)
+            .max(1);
+        let mut subset_means = vec![0.0; self.subsets];
+        for mean in &mut subset_means {
+            let mut sum = 0.0;
+            for _ in 0..subset_size {
+                sum += reports[rng.gen_range(0..reports.len())];
+            }
+            *mean = sum / subset_size as f64;
+        }
+        subset_means.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in means"));
+        let (split, lower, upper) = Self::two_means_split(&subset_means);
+        // Majority cluster wins.
+        if split >= subset_means.len() - split {
+            lower
+        } else {
+            upper
+        }
     }
 
     /// Exact 1-D 2-means: returns `(split_index, lower_centroid,
@@ -87,29 +127,7 @@ impl KMeansDefense {
 
 impl MeanDefense for KMeansDefense {
     fn estimate_mean(&self, reports: &[f64], rng: &mut dyn RngCore) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        let subset_size = self
-            .subset_size
-            .unwrap_or_else(|| (self.beta * reports.len() as f64).ceil() as usize)
-            .max(1);
-        let mut subset_means = Vec::with_capacity(self.subsets);
-        for _ in 0..self.subsets {
-            let mut sum = 0.0;
-            for _ in 0..subset_size {
-                sum += reports[rng.gen_range(0..reports.len())];
-            }
-            subset_means.push(sum / subset_size as f64);
-        }
-        subset_means.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in means"));
-        let (split, lower, upper) = Self::two_means_split(&subset_means);
-        // Majority cluster wins.
-        if split >= subset_means.len() - split {
-            lower
-        } else {
-            upper
-        }
+        KMeansDefense::estimate_mean(self, reports, rng)
     }
 
     fn label(&self) -> String {
@@ -166,6 +184,56 @@ mod tests {
         let d = KMeansDefense::new(0.05, 500);
         let est = d.estimate_mean(&reports, &mut rng);
         assert!((est - 1.0).abs() < 0.3, "estimate {est}, poisoned mean 1.0");
+    }
+
+    /// 20 000 reports shaped like one Fig. 9 cell: 18 000 honest values
+    /// over [-1, 1) and 2 000 poison reports at +5.
+    fn fig9_reports() -> Vec<f64> {
+        let mut rng = seeded(9);
+        let mut reports: Vec<f64> = (0..18_000).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        reports.extend(std::iter::repeat_n(5.0, 2_000));
+        reports
+    }
+
+    #[test]
+    fn concrete_and_dyn_generators_draw_the_same_stream() {
+        // The inherent generic method and the `MeanDefense` vtable path
+        // must agree bit for bit and leave their generators on the same
+        // word, or Fig. 9 would depend on how a caller holds its RNG.
+        let reports = fig9_reports();
+        for d in [
+            KMeansDefense::new(0.1, 50),
+            KMeansDefense::new(0.9, 50),
+            KMeansDefense::with_subset_size(4, 2000),
+        ] {
+            let (mut concrete, mut dynamic) = (seeded(11), seeded(11));
+            let inherent = d.estimate_mean(&reports, &mut concrete);
+            let via_dyn = (&d as &dyn MeanDefense).estimate_mean(&reports, &mut dynamic);
+            assert_eq!(inherent.to_bits(), via_dyn.to_bits(), "{d:?}");
+            assert_eq!(concrete.next_u64(), dynamic.next_u64(), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn estimates_are_pinned_to_the_recorded_draw_stream() {
+        // Bits and next words recorded from the `dyn`-dispatch loop. A
+        // rewrite that re-streams the draws (another sampler, another
+        // order, another summation) fails here instead of silently moving
+        // Fig. 9.
+        let reports = fig9_reports();
+        for (d, seed, bits, next) in [
+            (KMeansDefense::new(0.1, 50), 15, 0x3fe0_cb57_4d34_912d, 0x285e_e5d0_f70e_9033),
+            (
+                KMeansDefense::with_subset_size(4, 2000),
+                17,
+                0xbf85_d45a_ea4d_6fa9,
+                0xfd08_68c2_7d2a_8878,
+            ),
+        ] {
+            let mut rng = seeded(seed);
+            assert_eq!(d.estimate_mean(&reports, &mut rng).to_bits(), bits, "{d:?}");
+            assert_eq!(rng.next_u64(), next, "{d:?}");
+        }
     }
 
     #[test]
