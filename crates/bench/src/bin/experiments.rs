@@ -60,9 +60,6 @@
 //!                              these tokens may speak; every other frame
 //!                              is refused with the typed unauthorized
 //!                              error (connection stays open)
-//!         --legacy             serve the pre-reactor thread-per-connection
-//!                              path (one lock + one journal fsync per
-//!                              frame) — kept as the storm baseline
 //!         --workers <n>        reactor apply workers          (default 2)
 //!         --queue-ops <n>      reactor apply-queue run bound   (default 256);
 //!                              a run (one connection's buffered frames)
@@ -85,8 +82,6 @@
 //!                              (Go-Back-N pipelining)  (default 16)
 //!         --daemons <d>        in-process daemons      (default 1)
 //!         --seed <s>           schedule seed           (default 42)
-//!         --legacy             run the thread-per-connection baseline
-//!                              instead of the reactor
 //!         --no-journal         skip the write-ahead journal (the default
 //!                              fleet journals + fsyncs, where the
 //!                              reactor's group commit earns its win)
@@ -96,7 +91,9 @@
 //!                              force backpressure sheds)
 //!         --trials <t>         bench-json trials per mode; the medians
 //!                              are recorded               (default 3)
-//!         --bench-json <path>  alternate legacy/reactor trials and write
+//!         --bench-json <path>  alternate per-frame (the same reactor at
+//!                              coalesce 1: one lock + one journal fsync
+//!                              per frame) and reactor trials and write
 //!                              the median comparison (BENCH_serve.json)
 //!
 //! submit: streams a simulated population to daemons (disjoint group
@@ -196,8 +193,8 @@ fn main() {
     if id == "help" || id == "--help" {
         println!("usage: experiments <id> [--n N] [--trials T] [--seed S] [--max-dout D] [--paper-scale] [--out PATH] [--shard I/N [--journal DIR]] [--bench-json PATH] [--bench-repeats R]");
         println!("       experiments merge <shard.json>... [--out PATH]");
-        println!("       experiments serve --addr H:P [--mech pm|sw] [--eps E] [--eps0 E0] --users N [--plan-seed S] [--max-dout D] [--idle-timeout MS] [--legacy | --workers W --queue-ops Q --queue-bytes B --max-conns C --retry-after-ms MS] [--secagg I/K] [--auth-token HEX,..] [--journal DIR [--journal-sync] [--checkpoint-every N]]");
-        println!("       experiments storm [--connections M] [--reports N] [--batch B] [--window W] [--daemons D] [--seed S] [--legacy] [--no-journal] [--workers W] [--queue-ops Q] [--retry-after-ms MS] [--trials T] [--bench-json PATH]");
+        println!("       experiments serve --addr H:P [--mech pm|sw] [--eps E] [--eps0 E0] --users N [--plan-seed S] [--max-dout D] [--idle-timeout MS] [--workers W --queue-ops Q --queue-bytes B --max-conns C --retry-after-ms MS] [--secagg I/K] [--auth-token HEX,..] [--journal DIR [--journal-sync] [--checkpoint-every N]]");
+        println!("       experiments storm [--connections M] [--reports N] [--batch B] [--window W] [--daemons D] [--seed S] [--no-journal] [--workers W] [--queue-ops Q] [--retry-after-ms MS] [--trials T] [--bench-json PATH]");
         println!("       experiments submit (--addrs H:P,... | --local) [deployment flags] [--dataset D] [--gamma G] [--data-seed S] [--schemes all|LBL,..] [--timeout-ms MS] [--retry-attempts N] [--retry-budget N] [--retry-base-ms MS] [--retry-seed S] [--secagg K] [--secagg-seed HEX] [--auth-token HEX] [--expect-rejection] [--shutdown] [--pull-only]");
         println!("       experiments chaos [deployment/population flags] [--daemons N] [--chaos-seed S] [--faults N] [--kill-restart] [--secagg] [--secagg-seed HEX] [--auth-token HEX] [retry flags]");
         println!("       experiments dispatch <id> --addrs H:P,... [--n N] [--trials T] [--seed S] [--max-dout D] [--paper-scale] [--out PATH]");
@@ -587,26 +584,18 @@ fn parse_secagg_seed(args: &[String]) -> u64 {
 const REACTOR_FLAGS: [&str; 5] =
     ["--workers", "--queue-ops", "--queue-bytes", "--max-conns", "--retry-after-ms"];
 
-/// `--legacy` / reactor tuning flags → the [`ServeOptions::reactor`]
-/// field, starting from `base` (the stock defaults for `serve`, the
-/// deliberately starved bounds for `storm`).
-fn parse_reactor(args: &[String], base: ReactorOptions) -> Option<ReactorOptions> {
-    if args.iter().any(|a| a == "--legacy") {
-        for flag in REACTOR_FLAGS {
-            if args.iter().any(|a| a == flag) {
-                fail(&format!("{flag} tunes the reactor; it cannot be combined with --legacy"));
-            }
-        }
-        return None;
-    }
-    Some(ReactorOptions {
+/// Reactor tuning flags → the [`ServeOptions::reactor`] field, starting
+/// from `base` (the stock defaults for `serve`, the deliberately starved
+/// bounds for `storm`).
+fn parse_reactor(args: &[String], base: ReactorOptions) -> ReactorOptions {
+    ReactorOptions {
         workers: flag_parse(args, "--workers", base.workers),
         queue_ops: flag_parse(args, "--queue-ops", base.queue_ops),
         queue_bytes: flag_parse(args, "--queue-bytes", base.queue_bytes),
         max_connections: flag_parse(args, "--max-conns", base.max_connections),
         retry_after_ms: flag_parse(args, "--retry-after-ms", base.retry_after_ms),
         ..base
-    })
+    }
 }
 
 /// The population flags shared by `submit` and `chaos`.
@@ -661,7 +650,7 @@ fn serve_cmd(args: &[String]) {
             .chain(&REACTOR_FLAGS)
             .copied()
             .collect::<Vec<_>>(),
-        &["--journal-sync", "--legacy"],
+        &["--journal-sync"],
     );
     let addr = match flag_value(args, "--addr") {
         Ok(Some(a)) => a,
@@ -737,8 +726,8 @@ fn serve_cmd(args: &[String]) {
 /// swarm against an in-process daemon fleet, with throttle-aware
 /// retry/reconnect, verified exactly-once against a replayed twin, and
 /// measured (reports/sec, p50/p99 ack latency). `--bench-json` runs the
-/// legacy baseline and the reactor back to back and writes the
-/// comparison file CI gates on.
+/// per-frame baseline (the same reactor at `coalesce: 1`) and the reactor
+/// back to back and writes the comparison file CI gates on.
 fn storm_cmd(args: &[String]) {
     check_flags(
         args,
@@ -756,7 +745,7 @@ fn storm_cmd(args: &[String]) {
         .chain(&REACTOR_FLAGS)
         .copied()
         .collect::<Vec<_>>(),
-        &["--legacy", "--no-journal"],
+        &["--no-journal"],
     );
     let spec = StormSpec {
         connections: flag_parse(args, "--connections", 32),
@@ -772,32 +761,31 @@ fn storm_cmd(args: &[String]) {
 
     println!("{}", storm_header(&spec));
     if let Some(path) = bench_json {
-        // The comparison: alternate legacy/reactor trials (decorrelating
-        // filesystem-journal drift) and report each mode's median-
-        // throughput run — single fsync-bound runs swing ±30% on shared
-        // CI metal.
+        // The comparison: alternate per-frame/reactor trials
+        // (decorrelating filesystem-journal drift) and report each mode's
+        // median-throughput run — single fsync-bound runs swing ±30% on
+        // shared CI metal. The per-frame baseline is the same reactor at
+        // `coalesce: 1`: one frame per run and per batch, so one session
+        // lock and one journal fsync per frame.
         let trials: usize = flag_parse(args, "--trials", 3).max(1);
-        let reactor_opts =
-            spec.reactor.clone().unwrap_or_else(StormSpec::storm_reactor);
-        let mut legacies = Vec::with_capacity(trials);
+        let per_frame_spec = StormSpec {
+            reactor: ReactorOptions { coalesce: 1, ..spec.reactor.clone() },
+            ..spec.clone()
+        };
+        let mut per_frames = Vec::with_capacity(trials);
         let mut reactors = Vec::with_capacity(trials);
         for _ in 0..trials {
-            let legacy = run_storm(&StormSpec { reactor: None, ..spec.clone() })
-                .unwrap_or_else(|msg| fail(&msg));
-            println!("{}", legacy.render());
-            let reactor = run_storm(&StormSpec {
-                reactor: Some(reactor_opts.clone()),
-                ..spec.clone()
-            })
-            .unwrap_or_else(|msg| fail(&msg));
+            let per_frame = run_storm(&per_frame_spec).unwrap_or_else(|msg| fail(&msg));
+            println!("{}", per_frame.render());
+            let reactor = run_storm(&spec).unwrap_or_else(|msg| fail(&msg));
             println!("{}", reactor.render());
-            if !legacy.exact() || !reactor.exact() {
+            if !per_frame.exact() || !reactor.exact() {
                 fail(
                     "storm lost, duplicated or diverged reports \
                      (see the lost/dup lines above)",
                 );
             }
-            legacies.push(legacy);
+            per_frames.push(per_frame);
             reactors.push(reactor);
         }
         let median = |mut runs: Vec<dap_bench::storm::StormStats>| {
@@ -806,15 +794,15 @@ fn storm_cmd(args: &[String]) {
             });
             runs.swap_remove(runs.len() / 2)
         };
-        let (legacy, reactor) = (median(legacies), median(reactors));
+        let (per_frame, reactor) = (median(per_frames), median(reactors));
         println!(
-            "storm: speedup {:.2}x (reactor {:.0} vs legacy {:.0} reports/sec, \
+            "storm: speedup {:.2}x (reactor {:.0} vs per-frame {:.0} reports/sec, \
              median of {trials})",
-            reactor.reports_per_sec / legacy.reports_per_sec,
+            reactor.reports_per_sec / per_frame.reports_per_sec,
             reactor.reports_per_sec,
-            legacy.reports_per_sec,
+            per_frame.reports_per_sec,
         );
-        if let Err(e) = write_storm_bench_json(&path, &spec, &reactor, &legacy) {
+        if let Err(e) = write_storm_bench_json(&path, &spec, &reactor, &per_frame) {
             fail(&format!("failed to write {path}: {e}"));
         }
         eprintln!("[wrote {path}]");

@@ -21,7 +21,7 @@ use dap_core::categorical::{
     categorical_dap, ostrich_frequencies, simulate_reports, CategoricalDapConfig,
 };
 use dap_core::ima::emf_based_ima_mean;
-use dap_core::sw::{SwDap, SwDapConfig};
+use dap_core::sw::SwDapConfig;
 use dap_core::{parallel_map, Dap, DapConfig, Population, Scheme};
 use dap_datasets::cache::{Domain, SampledPopulation};
 use dap_datasets::{covid_frequencies, sample_covid, Dataset, PopulationCache, COVID_GROUPS};
@@ -383,7 +383,7 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
             let prepared = rc.prepared(&coord, ReportMech::Sw, *eps, cfg.eps0);
             let poison =
                 rc.poison_grouped(&coord, ReportMech::Sw, *eps, cfg.eps0, AttackSpec::SwTop);
-            let outs = SwDap::new(cfg)
+            let outs = Dap::new(cfg.session_config(), SquareWave::new)
                 .expect("valid config")
                 .run_schemes_prepared_with(&prepared, &poison, &Scheme::ALL)
                 .expect("valid run");

@@ -458,9 +458,15 @@ pub mod json {
         }
     }
 
+    /// Deepest nesting of arrays and objects a document may have.
+    /// `dap-results/v1` nests four levels; the bound keeps the recursive
+    /// descent's stack small on hostile input (shard files and remote
+    /// `shard-result` bodies both arrive here).
+    pub(crate) const MAX_DEPTH: usize = 32;
+
     /// Parses one JSON document (trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
+        let mut p = Parser { b: text.as_bytes(), i: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.i != p.b.len() {
@@ -472,6 +478,8 @@ pub mod json {
     struct Parser<'a> {
         b: &'a [u8],
         i: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -499,8 +507,18 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
+                c @ (b'{' | b'[') => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(format!(
+                            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                            self.i
+                        ));
+                    }
+                    self.depth += 1;
+                    let v = if c == b'{' { self.object() } else { self.array() };
+                    self.depth -= 1;
+                    v
+                }
                 b'"' => Ok(Value::String(self.string()?)),
                 b't' => self.literal("true", Value::Bool(true)),
                 b'f' => self.literal("false", Value::Bool(false)),
@@ -768,5 +786,16 @@ mod tests {
         let v = json::parse(r#"{"x": [1.5, "two\n", true, null], "y": {}}"#).expect("valid");
         let o = v.as_object("top").unwrap();
         assert_eq!(o.field("x").unwrap().as_array("x").unwrap().len(), 4);
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&nested(json::MAX_DEPTH + 1)).is_err());
+        for doc in ["[".repeat(100_000), r#"{"a":"#.repeat(100_000)] {
+            assert!(json::parse(&doc).is_err());
+            assert!(ResultSet::from_json(&doc).is_err());
+        }
     }
 }

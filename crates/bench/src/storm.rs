@@ -22,9 +22,10 @@
 //! unit test.
 //!
 //! The same run measures sustained reports/sec and p50/p99 per-frame ack
-//! latency; `experiments storm --bench-json` runs the legacy
-//! thread-per-connection baseline and the reactor back to back and writes
-//! the comparison (`BENCH_serve.json`) that CI gates on.
+//! latency; `experiments storm --bench-json` runs a per-frame baseline
+//! (the same reactor at `coalesce: 1`, so one lock and one journal fsync
+//! per frame) and the configured reactor back to back and writes the
+//! comparison (`BENCH_serve.json`) that CI gates on.
 
 use crate::serve::{ServeSpec, WireMech};
 use dap_core::net::{
@@ -39,7 +40,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// One storm's shape: the swarm, the fleet, and the serving mode.
+/// One storm's shape: the swarm, the fleet, and the reactor bounds.
 #[derive(Debug, Clone)]
 pub struct StormSpec {
     /// Client connections (each one thread, one sequencing channel).
@@ -59,9 +60,8 @@ pub struct StormSpec {
     /// reactor's group commit amortizes the per-record fsync — which is
     /// exactly the contrast the benchmark exists to measure.
     pub journal: bool,
-    /// `Some` serves the bounded-worker reactor with these bounds;
-    /// `None` serves the legacy thread-per-connection baseline.
-    pub reactor: Option<ReactorOptions>,
+    /// The bounds every daemon's reactor serves with.
+    pub reactor: ReactorOptions,
 }
 
 impl StormSpec {
@@ -115,7 +115,7 @@ impl StormSpec {
 /// fails the run as `diverged`).
 #[derive(Debug, Clone)]
 pub struct StormStats {
-    /// `"reactor"` or `"legacy"`.
+    /// `"per-frame"` for a reactor at `coalesce: 1`, `"reactor"` otherwise.
     pub mode: &'static str,
     /// Reports that landed (always `connections × reports` on success).
     pub reports: usize,
@@ -349,7 +349,7 @@ pub fn run_storm(spec: &StormSpec) -> Result<StormStats, String> {
     let digest = deployment.state_digest()?;
     let session = deployment_session(&deployment)?;
     let groups = session.group_count();
-    let mode: &'static str = if spec.reactor.is_some() { "reactor" } else { "legacy" };
+    let mode: &'static str = if spec.reactor.coalesce == 1 { "per-frame" } else { "reactor" };
 
     // The fleet: one daemon thread each, journaled into disposable dirs
     // when durability is on.
@@ -495,7 +495,7 @@ pub fn storm_header(spec: &StormSpec) -> String {
     )
 }
 
-/// `BENCH_serve.json`: the reactor-vs-legacy comparison CI gates on.
+/// `BENCH_serve.json`: the reactor-vs-per-frame comparison CI gates on.
 /// Both throughput numbers are per-mode medians over the bench run's
 /// trials; `speedup` is their ratio (the ingestion reactor's headline
 /// claim).
@@ -503,17 +503,17 @@ pub fn write_storm_bench_json(
     path: &str,
     spec: &StormSpec,
     reactor: &StormStats,
-    legacy: &StormStats,
+    per_frame: &StormStats,
 ) -> std::io::Result<()> {
     use std::io::Write as _;
-    let speedup = reactor.reports_per_sec / legacy.reports_per_sec;
+    let speedup = reactor.reports_per_sec / per_frame.reports_per_sec;
     let json = format!(
         "{{\n  \"experiment\": \"storm\",\n  \"daemons\": {},\n  \"connections\": {},\n  \
          \"reports\": {},\n  \"batch\": {},\n  \"window\": {},\n  \"seed\": {},\n  \
          \"journal\": \"{}\",\n  \
-         \"reactor_reports_per_sec\": {:.0},\n  \"legacy_reports_per_sec\": {:.0},\n  \
+         \"reactor_reports_per_sec\": {:.0},\n  \"per_frame_reports_per_sec\": {:.0},\n  \
          \"speedup\": {:.2},\n  \"reactor_p50_ms\": {:.3},\n  \"reactor_p99_ms\": {:.3},\n  \
-         \"legacy_p50_ms\": {:.3},\n  \"legacy_p99_ms\": {:.3},\n  \"throttled\": {}\n}}\n",
+         \"per_frame_p50_ms\": {:.3},\n  \"per_frame_p99_ms\": {:.3},\n  \"throttled\": {}\n}}\n",
         spec.daemons,
         spec.connections,
         spec.reports,
@@ -522,12 +522,12 @@ pub fn write_storm_bench_json(
         spec.seed,
         if spec.journal { "sync" } else { "none" },
         reactor.reports_per_sec,
-        legacy.reports_per_sec,
+        per_frame.reports_per_sec,
         speedup,
         reactor.p50_ms,
         reactor.p99_ms,
-        legacy.p50_ms,
-        legacy.p99_ms,
+        per_frame.p50_ms,
+        per_frame.p99_ms,
         reactor.throttled,
     );
     let mut file = std::fs::File::create(path)?;
@@ -554,7 +554,7 @@ mod tests {
             daemons: 1,
             seed: 42,
             journal: false,
-            reactor: Some(StormSpec::storm_reactor()),
+            reactor: StormSpec::storm_reactor(),
         };
         let a = client_batches(&spec, 1);
         let b = client_batches(&spec, 1);

@@ -1,6 +1,6 @@
 //! Golden loopback equivalence for the serving stack: a coordinator
 //! streaming to real TCP daemons must finalize **bit-identically** to the
-//! single-process `Dap::run_schemes` / `SwDap::run_schemes` reference —
+//! single-process `Dap::run_schemes` reference —
 //! for PM and SW, ε ∈ {1/4, 1/2, 1}, all schemes, and several worker
 //! counts — and the remote shard driver (`dispatch`) must reproduce a
 //! local cell run exactly. The same properties are exercised
@@ -16,7 +16,9 @@ use dap_bench::serve::{
 };
 use dap_core::net::{Deadlines, RetryPolicy, ServeOptions, WireClient};
 use dap_core::secagg::reconstruct;
-use dap_core::{DapError, DapOutput, Scheme, SecaggRole, ShareSplitter, SwDap, SwDapConfig, WireError};
+use dap_core::{
+    Dap, DapError, DapOutput, Scheme, SecaggRole, ShareSplitter, SwDapConfig, WireError,
+};
 use dap_datasets::Dataset;
 use dap_estimation::rng::seeded;
 use std::net::TcpListener;
@@ -117,9 +119,10 @@ fn coordinator_over_tcp_matches_in_process_run_bit_for_bit() {
 
 #[test]
 fn sw_submit_matches_the_swdap_driver_bitwise() {
-    // `run_local` drives `Dap<SquareWave>` in band mode; `SwDap` is the
-    // public driver for the same deployment. Pin the serving stack to the
-    // *public* reference too, not just to the internal one.
+    // `run_local` drives `Dap<SquareWave>` from the serve spec's session
+    // config; `SwDapConfig` is the public description of the same
+    // deployment. Pin the serving stack to the *public* reference too, not
+    // just to the internal one.
     let spec = SubmitSpec {
         serve: ServeSpec {
             mech: WireMech::Sw,
@@ -138,18 +141,15 @@ fn sw_submit_matches_the_swdap_driver_bitwise() {
 
     let m = (900.0f64 * 0.2).round() as usize;
     let honest = Dataset::Beta25.generate_unit(900 - m, &mut seeded(5));
-    let sw = SwDap::new(SwDapConfig {
-        max_d_out: 24,
-        ..SwDapConfig::paper_default(0.5, Scheme::Emf)
-    })
-    .expect("valid config");
+    let cfg = SwDapConfig { max_d_out: 24, ..SwDapConfig::paper_default(0.5, Scheme::Emf) };
+    let sw = Dap::new(cfg.session_config(), dap_ldp::SquareWave::new).expect("valid config");
     let attack = dap_attack::UniformAttack::new(
         dap_attack::Anchor::AboveInputMax(0.5),
         dap_attack::Anchor::AboveInputMax(1.0),
     );
     let reference = sw
         .run_schemes_on(&honest, m, &attack, &Scheme::ALL, &mut seeded(77))
-        .expect("SwDap reference");
+        .expect("SW reference");
     for (a, b) in local.iter().zip(&reference) {
         assert_eq!(a.mean.to_bits(), b.mean.to_bits());
         assert_eq!(a.gamma.to_bits(), b.gamma.to_bits());

@@ -3,9 +3,9 @@
 //! The protocol layer is the part of the workspace a deployment actually
 //! links against — a collector ingesting untrusted client reports must be
 //! able to reject malformed input without tearing the process down. Every
-//! fallible operation on [`crate::DapSession`], the [`crate::Dap`] /
-//! [`crate::sw::SwDap`] drivers and the config builders reports through
-//! [`DapError`]; panics are reserved for internal invariants.
+//! fallible operation on [`crate::DapSession`], the [`crate::Dap`] driver
+//! and the config builders reports through [`DapError`]; panics are
+//! reserved for internal invariants.
 
 use crate::accountant::BudgetError;
 use dap_ldp::LdpError;

@@ -100,4 +100,4 @@ pub use storage::{
     DurableOptions, DurableSession, FaultBackend, FileBackend, Journal, MemoryBackend,
     Recovery, StorageBackend,
 };
-pub use sw::{SwDap, SwDapConfig, SwDapOutput};
+pub use sw::SwDapConfig;

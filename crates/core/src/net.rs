@@ -1,8 +1,8 @@
 //! `dap-wire/v1`: a std-only wire protocol serving [`DapSession`] over TCP.
 //!
 //! The session API is transport-agnostic; this module is the transport. A
-//! daemon wraps one session in [`serve_session`] — by default a
-//! bounded-worker *ingestion reactor*: each connection gets a handler
+//! daemon wraps one session in [`serve_session`] — a bounded-worker
+//! *ingestion reactor*: each connection gets a handler
 //! thread that decodes frames, each connection's buffered run of mutation
 //! frames crosses a bounded apply queue as one unit to a small worker pool
 //! applying coalesced batches under one session-lock acquisition (one
@@ -380,10 +380,10 @@ pub struct StatusCounters {
     pub journal_records: u64,
     /// Checkpoints taken since open (0 for an in-memory session).
     pub checkpoints: u64,
-    /// Ingestion-reactor counters; `None` when the daemon serves the
-    /// legacy thread-per-connection path (or predates the reactor — the
-    /// encoding omits the section, keeping old status-ok frames
-    /// byte-identical).
+    /// Ingestion-reactor counters; `None` in a session's own counters
+    /// (the server fills them in) and from a peer that predates the
+    /// reactor — the encoding omits the section, keeping old status-ok
+    /// frames byte-identical.
     pub reactor: Option<ReactorCounters>,
 }
 
@@ -607,8 +607,8 @@ pub fn encode_frame(frame: &Frame) -> String {
                     c.journal_records,
                     c.checkpoints
                 );
-                // The reactor section rides along only when the daemon
-                // runs one, so legacy daemons keep the PR 8 encoding.
+                // The reactor section is optional, so counters without
+                // one keep the pre-reactor encoding.
                 if let Some(r) = &c.reactor {
                     let _ = write!(
                         s,
@@ -1802,14 +1802,13 @@ struct ServerState<S> {
     /// clone leaves with its handler ([`ConnEntry`]): a connection the
     /// server ends is closed for real and its peer reads EOF.
     conns: Mutex<HashMap<usize, TcpStream>>,
-    /// The server's idle bound ([`ServeOptions::idle_timeout`]); under the
-    /// reactor it also caps how long a handler stays parked waiting for a
-    /// queued frame's ack, so a wedged apply queue cannot exempt its
-    /// connections from reaping.
+    /// The server's idle bound ([`ServeOptions::idle_timeout`]); it also
+    /// caps how long a handler stays parked waiting for a queued frame's
+    /// ack, so a wedged apply queue cannot exempt its connections from
+    /// reaping.
     idle_timeout: Option<Duration>,
-    /// The ingestion reactor; `None` serves the legacy lock-per-frame
-    /// path.
-    reactor: Option<Reactor>,
+    /// The apply queue and worker pool every mutation frame goes through.
+    reactor: Reactor,
 }
 
 /// One connection's run of decoded mutation frames parked in the apply
@@ -1999,9 +1998,7 @@ fn is_reactor_op(frame: &Frame) -> bool {
 }
 
 /// Applies one mutation frame to the session, mapping the result to its
-/// wire reply. Shared by the legacy dispatch path and the reactor's
-/// workers so both apply identical semantics (validation, replay guard,
-/// typed rejections).
+/// wire reply (validation, replay guard, typed rejections).
 fn apply_mutation<S: WireSession>(session: &mut S, frame: &Frame) -> Frame {
     let applied = match frame {
         Frame::Ingest { group, report } => session.ingest(*group, *report),
@@ -2032,7 +2029,7 @@ fn apply_mutation<S: WireSession>(session: &mut S, frame: &Frame) -> Frame {
 /// most one run queued at a time, each run is applied in order, and the
 /// queue is FIFO.
 fn worker_loop<S: WireSession>(state: &ServerState<S>) {
-    let reactor = state.reactor.as_ref().expect("worker requires a reactor");
+    let reactor = &state.reactor;
     while let Some(batch) = reactor.pop_batch() {
         if let Some(stall) = reactor.opts.apply_stall {
             std::thread::sleep(stall);
@@ -2130,14 +2127,6 @@ impl<S: WireSession> ServerState<S> {
                     }
                 }
             }
-            // The legacy (reactor-less) path applies mutations inline,
-            // one lock acquisition per frame — the same `apply_mutation`
-            // the reactor's workers run, so both paths reject and ack
-            // identically.
-            frame @ (Frame::Ingest { .. }
-            | Frame::IngestBatch { .. }
-            | Frame::IngestBatchSeq { .. }
-            | Frame::ShareBatch { .. }) => apply_mutation(&mut *self.lock(), &frame),
             Frame::MaskedPull => match self.lock().export_masked_part() {
                 Ok(part) => Frame::MaskedPart { part },
                 Err(e) => Frame::Error(e.into()),
@@ -2147,9 +2136,7 @@ impl<S: WireSession> ServerState<S> {
                     let session = self.lock();
                     (session.ingested_total(), session.status_counters())
                 };
-                if let Some(reactor) = &self.reactor {
-                    counters.reactor = Some(reactor.counters());
-                }
+                counters.reactor = Some(self.reactor.counters());
                 Frame::StatusOk {
                     digest: self.digest,
                     groups: self.groups,
@@ -2193,7 +2180,7 @@ where
     X: Fn(&Frame) -> Option<Frame> + Sync,
 {
     stream.set_nodelay(true).ok();
-    let _conn = state.reactor.as_ref().map(|r| r.track_connection());
+    let _conn = state.reactor.track_connection();
     // Buffered read half (the write half stays on the raw stream): frame
     // decode otherwise costs two read syscalls per frame (length prefix,
     // body). The clone shares the socket, so the idle read timeout and a
@@ -2256,45 +2243,44 @@ where
                 continue;
             }
         }
-        let replies = match &state.reactor {
-            Some(reactor) if is_reactor_op(&frame) => {
-                // The run: this frame plus every further mutation frame
-                // the client has already pipelined into the buffer, queued
-                // as one unit and acked with one write.
-                let (mut run, mut run_cost) = (vec![frame], cost);
-                while run.len() < reactor.opts.coalesce.max(1) {
-                    match read_buffered_frame(&mut reader) {
-                        Some((frame, cost)) if is_reactor_op(&frame) => {
-                            run.push(frame);
-                            run_cost += cost;
-                        }
-                        other => {
-                            next = other;
-                            break;
-                        }
+        let replies = if is_reactor_op(&frame) {
+            // The run: this frame plus every further mutation frame the
+            // client has already pipelined into the buffer, queued as one
+            // unit and acked with one write.
+            let reactor = &state.reactor;
+            let (mut run, mut run_cost) = (vec![frame], cost);
+            while run.len() < reactor.opts.coalesce.max(1) {
+                match read_buffered_frame(&mut reader) {
+                    Some((frame, cost)) if is_reactor_op(&frame) => {
+                        run.push(frame);
+                        run_cost += cost;
                     }
-                }
-                match reactor.submit(run, run_cost, state.idle_timeout) {
-                    Some(replies) => replies,
-                    None => {
-                        // Parked past the idle bound behind a wedged apply
-                        // queue: reap with the same typed farewell a silent
-                        // client gets. The run may still apply later; a
-                        // retry on a fresh connection dedups via the replay
-                        // guard.
-                        let _ = write_frame(
-                            &mut stream,
-                            &Frame::Error(WireError::Timeout {
-                                what: "apply queue stalled past idle deadline; \
-                                       connection closed by server"
-                                    .into(),
-                            }),
-                        );
-                        return;
+                    other => {
+                        next = other;
+                        break;
                     }
                 }
             }
-            _ => vec![state.dispatch(frame, extra)],
+            match reactor.submit(run, run_cost, state.idle_timeout) {
+                Some(replies) => replies,
+                None => {
+                    // Parked past the idle bound behind a wedged apply
+                    // queue: reap with the same typed farewell a silent
+                    // client gets. The run may still apply later; a retry
+                    // on a fresh connection dedups via the replay guard.
+                    let _ = write_frame(
+                        &mut stream,
+                        &Frame::Error(WireError::Timeout {
+                            what: "apply queue stalled past idle deadline; \
+                                   connection closed by server"
+                                .into(),
+                        }),
+                    );
+                    return;
+                }
+            }
+        } else {
+            vec![state.dispatch(frame, extra)]
         };
         if write_frames(&mut stream, &replies).is_err() {
             return;
@@ -2335,14 +2321,13 @@ impl<S> ServerState<S> {
 /// [`crate::storage::DurableSession`] for one whose acknowledged ingests
 /// survive a kill (`experiments serve --journal`).
 ///
-/// Connections are handled on their own scoped threads; under the
-/// default reactor their mutation frames funnel, one buffered run per
-/// connection, through a bounded apply queue to a worker pool (see
-/// [`ServeOptions::reactor`]), so many report sources stream concurrently
-/// while the session lock is taken once per coalesced batch instead of
-/// once per frame. Definition 2 is enforced at
-/// the door by the session's own typed rejections, which travel back as
-/// [`WireError::Rejected`].
+/// Connections are handled on their own scoped threads; their mutation
+/// frames funnel, one buffered run per connection, through a bounded
+/// apply queue to a worker pool (see [`ServeOptions::reactor`]), so many
+/// report sources stream concurrently while the session lock is taken
+/// once per coalesced batch instead of once per frame. Definition 2 is
+/// enforced at the door by the session's own typed rejections, which
+/// travel back as [`WireError::Rejected`].
 ///
 /// `extra` handles frames the session layer does not (the bench daemon
 /// plugs experiment-shard execution in here); return `None` to let the
@@ -2357,14 +2342,13 @@ where
 }
 
 /// Server-side knobs for [`serve_session_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Close a connection whose next frame does not arrive within this
     /// bound, with a typed [`WireError::Timeout`] farewell — leaked client
-    /// sockets can no longer pin handler threads forever. Under the
-    /// reactor the same bound also reaps connections parked in the apply
-    /// queue. `None` (the default) waits indefinitely, the pre-hardening
-    /// behavior.
+    /// sockets can no longer pin handler threads forever. The same bound
+    /// also reaps connections parked in the apply queue. `None` (the
+    /// default) waits indefinitely, the pre-hardening behavior.
     pub idle_timeout: Option<Duration>,
     /// Allowlist of auth tokens a `hello` may present. Empty (the
     /// default): no authentication, the pre-auth behavior. Non-empty:
@@ -2372,26 +2356,13 @@ pub struct ServeOptions {
     /// [`WireError::Unauthorized`] until a hello carrying one of these
     /// tokens succeeds.
     pub auth_tokens: Vec<u64>,
-    /// Ingestion-reactor configuration. `Some` (the default) serves the
-    /// bounded-worker reactor: each connection's buffered run of mutation
-    /// frames crosses a bounded apply queue as one unit to a worker pool
-    /// that applies coalesced batches under one lock acquisition (one
-    /// group commit for a durable session), with [`WireError::Throttled`]
-    /// backpressure when the queue or connection table is full. `None`
-    /// restores the thread-per-connection lock-per-frame path
-    /// (`experiments serve --legacy`), kept selectable as the storm
-    /// harness's baseline.
-    pub reactor: Option<ReactorOptions>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> ServeOptions {
-        ServeOptions {
-            idle_timeout: None,
-            auth_tokens: Vec::new(),
-            reactor: Some(ReactorOptions::default()),
-        }
-    }
+    /// Ingestion-reactor configuration: each connection's buffered run of
+    /// mutation frames crosses a bounded apply queue as one unit to a
+    /// worker pool that applies coalesced batches under one lock
+    /// acquisition (one group commit for a durable session), with
+    /// [`WireError::Throttled`] backpressure when the queue or connection
+    /// table is full.
+    pub reactor: ReactorOptions,
 }
 
 /// Tuning for the ingestion reactor ([`ServeOptions::reactor`]). The
@@ -2465,37 +2436,33 @@ where
         addr: listener.local_addr()?,
         conns: Mutex::new(HashMap::new()),
         idle_timeout: options.idle_timeout,
-        reactor: options.reactor.clone().map(Reactor::new),
+        reactor: Reactor::new(options.reactor.clone()),
     };
+    let reactor = &state.reactor;
     std::thread::scope(|scope| {
-        if let Some(reactor) = &state.reactor {
-            for _ in 0..reactor.opts.workers.max(1) {
-                let state = &state;
-                scope.spawn(move || worker_loop(state));
-            }
+        for _ in 0..reactor.opts.workers.max(1) {
+            let state = &state;
+            scope.spawn(move || worker_loop(state));
         }
         for (id, conn) in listener.incoming().enumerate() {
             if state.stop.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = conn else { continue };
-            if let Some(reactor) = &state.reactor {
-                if reactor.active.load(Ordering::Relaxed)
-                    >= reactor.opts.max_connections.max(1) as u64
-                {
-                    // Over the connection cap: shed at the door with the
-                    // same retryable throttle a full queue answers, so the
-                    // client backs off and reconnects instead of failing.
-                    reactor.throttled.fetch_add(1, Ordering::Relaxed);
-                    let mut stream = stream;
-                    let _ = write_frame(
-                        &mut stream,
-                        &Frame::Error(WireError::Throttled {
-                            retry_after_ms: reactor.opts.retry_after_ms,
-                        }),
-                    );
-                    continue;
-                }
+            if reactor.active.load(Ordering::Relaxed) >= reactor.opts.max_connections.max(1) as u64
+            {
+                // Over the connection cap: shed at the door with the same
+                // retryable throttle a full queue answers, so the client
+                // backs off and reconnects instead of failing.
+                reactor.throttled.fetch_add(1, Ordering::Relaxed);
+                let mut stream = stream;
+                let _ = write_frame(
+                    &mut stream,
+                    &Frame::Error(WireError::Throttled {
+                        retry_after_ms: reactor.opts.retry_after_ms,
+                    }),
+                );
+                continue;
             }
             stream.set_read_timeout(options.idle_timeout).ok();
             let entry = stream.try_clone().ok().map(|clone| {
@@ -2512,9 +2479,7 @@ where
         // The accept loop is done (shutdown): wake the workers so they
         // drain the queue — every parked handler still gets its ack — and
         // exit, letting the scope join.
-        if let Some(reactor) = &state.reactor {
-            reactor.stop();
-        }
+        reactor.stop();
     });
     Ok(state.session.into_inner().unwrap_or_else(|e| e.into_inner()))
 }
@@ -2764,8 +2729,8 @@ mod tests {
             decode_frame("status-ok 0x0000000000000007 4 99").unwrap(),
             Frame::StatusOk { digest: 7, groups: 4, ingested: 99, counters: None }
         );
-        // A PR 8 (pre-reactor) counters section still parses, and a
-        // reactor-less daemon still emits it byte-identically.
+        // A pre-reactor counters section still parses, and counters
+        // without a reactor section still encode to it byte-identically.
         let pr8_counters = StatusCounters {
             masked: true,
             channels: 3,

@@ -9,7 +9,7 @@
 //! aggregation) on demand in [`DapSession::finalize`]. Sessions fed by
 //! independent threads or processes combine with [`DapSession::merge`].
 //!
-//! The [`crate::Dap`] and [`crate::sw::SwDap`] simulations are thin drivers
+//! The [`crate::Dap`] simulation (PM, or SW in band mode) is a thin driver
 //! over this type plus the [`crate::client`] module; real deployments feed
 //! the same API from a network or a stream instead.
 

@@ -8,25 +8,22 @@
 //! paper prescribes: EMS on the reports after removing the most extreme 50%
 //! on the hypothesized poisoned side.
 //!
-//! [`SwDap`] is a thin driver over the same client/aggregator split as
-//! [`crate::Dap`]: both wire their populations through the
-//! [`crate::client`] module into one [`crate::DapSession`] ingestion path;
-//! only the session's [`crate::EstimationMode`] differs
+//! The SW deployment is [`crate::Dap`] over [`SquareWave`] with
+//! [`SwDapConfig::session_config`]: the same client/aggregator split and
+//! [`crate::DapSession`] ingestion path as PM; only the session's
+//! [`crate::EstimationMode`] differs
 //! ([`crate::EstimationMode::HistogramBands`] here).
 
 use crate::aggregation::Weighting;
-use crate::error::DapError;
-use crate::population::Population;
-use crate::protocol::{Dap, DapConfig};
+use crate::protocol::DapConfig;
 use crate::scheme::{GroupHistogram, Scheme};
 use crate::session::EstimationMode;
-use dap_attack::{Attack, Side};
+use dap_attack::Side;
 use dap_emf::{cemf_star, cemf_star_threshold, emf, EmfConfig};
 use dap_estimation::em::{self, EmOutcome, EmWorkspace, MStep};
 use dap_estimation::stats::histogram_mean;
 use dap_estimation::{cached_for_numeric, ems, EmOptions, Grid, PoisonRegion};
 use dap_ldp::{NumericMechanism, SquareWave};
-use rand::RngCore;
 
 /// Bootstraps `O'` for SW: trim the most extreme half of the reports on
 /// `side`, reconstruct the remaining distribution with EMS, return its mean
@@ -220,139 +217,13 @@ impl SwDapConfig {
     }
 }
 
-/// Result of an SW-DAP run.
-#[derive(Debug, Clone)]
-pub struct SwDapOutput {
-    /// Aggregated honest-mean estimate on `[0, 1]`.
-    pub mean: f64,
-    /// Probed poisoned side.
-    pub side: Side,
-    /// Probed coalition proportion.
-    pub gamma: f64,
-}
-
-/// The Square-Wave instantiation of DAP.
-#[derive(Debug, Clone)]
-pub struct SwDap {
-    config: SwDapConfig,
-}
-
-impl SwDap {
-    /// Builds the protocol, rejecting invalid budgets as [`DapError`]s.
-    pub fn new(config: SwDapConfig) -> Result<Self, DapError> {
-        config.session_config().validate()?;
-        Ok(SwDap { config })
-    }
-
-    /// Runs grouping → perturbation → probing → histogram estimation →
-    /// aggregation on a `[0, 1]`-valued population.
-    pub fn run<R: RngCore>(
-        &self,
-        population: &Population,
-        attack: &dyn Attack,
-        rng: &mut R,
-    ) -> Result<SwDapOutput, DapError> {
-        Ok(self
-            .run_schemes(population, attack, &[self.config.scheme], rng)?
-            .pop()
-            .expect("one scheme in, one output out"))
-    }
-
-    /// Runs the protocol once and reads the result off under several
-    /// schemes — the SW analogue of [`crate::Dap::run_schemes`]:
-    /// grouping, perturbation, probing and the base EMF fits are shared;
-    /// `config.scheme` is ignored. Outputs come back in `schemes` order.
-    ///
-    /// Simulation and ingestion are literally [`crate::Dap`] over
-    /// [`SquareWave`]; only the session's estimation mode differs.
-    pub fn run_schemes<R: RngCore>(
-        &self,
-        population: &Population,
-        attack: &dyn Attack,
-        schemes: &[Scheme],
-        rng: &mut R,
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        self.run_schemes_on(&population.honest, population.byzantine, attack, schemes, rng)
-    }
-
-    /// [`SwDap::run_schemes`] over a borrowed honest-value slice — the SW
-    /// analogue of [`crate::Dap::run_schemes_on`], for cached populations.
-    pub fn run_schemes_on<R: RngCore>(
-        &self,
-        honest: &[f64],
-        byzantine: usize,
-        attack: &dyn Attack,
-        schemes: &[Scheme],
-        rng: &mut R,
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        let driver = Dap::new(self.config.session_config(), SquareWave::new)?;
-        let outs = driver.run_schemes_on(honest, byzantine, attack, schemes, rng)?;
-        Ok(outs
-            .into_iter()
-            .map(|o| SwDapOutput { mean: o.mean, side: o.side, gamma: o.gamma })
-            .collect())
-    }
-
-    /// The SW analogue of [`crate::Dap::prepare_reports`]: grouping plus
-    /// honest perturbation, frozen for replay.
-    pub fn prepare_reports<R: RngCore>(
-        &self,
-        honest: &[f64],
-        byzantine: usize,
-        rng: &mut R,
-    ) -> Result<crate::protocol::PreparedReports, DapError> {
-        Dap::new(self.config.session_config(), SquareWave::new)?
-            .prepare_reports(honest, byzantine, rng)
-    }
-
-    /// The SW analogue of [`crate::Dap::run_schemes_prepared`]: replays
-    /// cached honest reports, draws only the coalition's fresh.
-    pub fn run_schemes_prepared<R: RngCore>(
-        &self,
-        prepared: &crate::protocol::PreparedReports,
-        attack: &dyn Attack,
-        schemes: &[Scheme],
-        rng: &mut R,
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        let driver = Dap::new(self.config.session_config(), SquareWave::new)?;
-        let outs = driver.run_schemes_prepared(prepared, attack, schemes, rng)?;
-        Ok(outs
-            .into_iter()
-            .map(|o| SwDapOutput { mean: o.mean, side: o.side, gamma: o.gamma })
-            .collect())
-    }
-
-    /// The SW analogue of [`crate::Dap::poison_batches`].
-    pub fn poison_batches<R: RngCore>(
-        &self,
-        prepared: &crate::protocol::PreparedReports,
-        attack: &dyn Attack,
-        rng: &mut R,
-    ) -> Result<Vec<Vec<f64>>, DapError> {
-        Dap::new(self.config.session_config(), SquareWave::new)?
-            .poison_batches(prepared, attack, rng)
-    }
-
-    /// The SW analogue of [`crate::Dap::run_schemes_prepared_with`].
-    pub fn run_schemes_prepared_with(
-        &self,
-        prepared: &crate::protocol::PreparedReports,
-        poison: &[Vec<f64>],
-        schemes: &[Scheme],
-    ) -> Result<Vec<SwDapOutput>, DapError> {
-        let driver = Dap::new(self.config.session_config(), SquareWave::new)?;
-        let outs = driver.run_schemes_prepared_with(prepared, poison, schemes)?;
-        Ok(outs
-            .into_iter()
-            .map(|o| SwDapOutput { mean: o.mean, side: o.side, gamma: o.gamma })
-            .collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dap_attack::{Anchor, UniformAttack};
+    use crate::error::DapError;
+    use crate::population::Population;
+    use crate::protocol::Dap;
+    use dap_attack::{Anchor, Attack, UniformAttack};
     use dap_estimation::rng::seeded;
     use dap_estimation::sampling;
     use dap_estimation::stats::mean as smean;
@@ -372,7 +243,8 @@ mod tests {
     fn sw_dap_recovers_beta_mean_under_attack() {
         let pop = beta_population(12_000, 0.25, 2.0, 5.0, 1);
         let truth = smean(&pop.honest);
-        let dap = SwDap::new(SwDapConfig { max_d_out: 64, ..SwDapConfig::paper_default(1.0, Scheme::EmfStar) }).unwrap();
+        let cfg = SwDapConfig { max_d_out: 64, ..SwDapConfig::paper_default(1.0, Scheme::EmfStar) };
+        let dap = Dap::new(cfg.session_config(), SquareWave::new).unwrap();
         let mut rng = seeded(2);
         let out = dap.run(&pop, &sw_attack(), &mut rng).unwrap();
         assert_eq!(out.side, Side::Right);
@@ -396,7 +268,8 @@ mod tests {
         reports.extend(sw_attack().reports(pop.byzantine, &mech, &mut rng));
         let ostrich_err = (smean(&reports) - truth).abs();
 
-        let dap = SwDap::new(SwDapConfig { max_d_out: 64, ..SwDapConfig::paper_default(1.0, Scheme::CemfStar) }).unwrap();
+        let cfg = SwDapConfig { max_d_out: 64, ..SwDapConfig::paper_default(1.0, Scheme::CemfStar) };
+        let dap = Dap::new(cfg.session_config(), SquareWave::new).unwrap();
         let out = dap.run(&pop, &sw_attack(), &mut rng).unwrap();
         assert!(
             (out.mean - truth).abs() < ostrich_err,
@@ -413,11 +286,8 @@ mod tests {
         let truth = smean(&pop.honest);
         // Poison in the left inflation band [-b, -b/2].
         let attack = UniformAttack::new(Anchor::OfLower(1.0), Anchor::OfLower(0.5));
-        let dap = SwDap::new(SwDapConfig {
-            max_d_out: 64,
-            ..SwDapConfig::paper_default(1.0, Scheme::EmfStar)
-        })
-        .unwrap();
+        let cfg = SwDapConfig { max_d_out: 64, ..SwDapConfig::paper_default(1.0, Scheme::EmfStar) };
+        let dap = Dap::new(cfg.session_config(), SquareWave::new).unwrap();
         let mut rng = seeded(8);
         let out = dap.run(&pop, &attack, &mut rng).unwrap();
         assert_eq!(out.side, Side::Left);
@@ -442,6 +312,9 @@ mod tests {
     #[test]
     fn sw_dap_rejects_bad_budgets() {
         let cfg = SwDapConfig { eps: 0.01, ..SwDapConfig::paper_default(0.01, Scheme::Emf) };
-        assert!(matches!(SwDap::new(cfg), Err(DapError::InvalidBudget { .. })));
+        assert!(matches!(
+            Dap::new(cfg.session_config(), SquareWave::new),
+            Err(DapError::InvalidBudget { .. })
+        ));
     }
 }

@@ -6,8 +6,8 @@
 //! that unwinds mid-batch fails its runs typed, connections parked in the
 //! apply queue are reaped by the idle timeout, the connection cap sheds
 //! at accept, the `status` frame surfaces the reactor counters, and a
-//! reactor daemon serves state bit-identical to the legacy
-//! thread-per-connection path.
+//! default reactor daemon serves state bit-identical to a per-frame one
+//! (`coalesce: 1`).
 
 use dap_core::net::{
     encode_frame, read_frame, serve_session_with, write_frame, Deadlines, Frame, ReactorOptions,
@@ -183,7 +183,7 @@ proptest! {
         let reactors =
             [starved.clone(), ReactorOptions { coalesce: 4, ..starved }, ReactorOptions::default()];
         for reactor in reactors {
-            let options = ServeOptions { reactor: Some(reactor), ..ServeOptions::default() };
+            let options = ServeOptions { reactor, ..ServeOptions::default() };
             let (addr, handle) = daemon_with(local.clone(), options);
             std::thread::scope(|scope| {
                 for (g, plan) in plans.iter().enumerate() {
@@ -406,7 +406,7 @@ fn backpressure_sheds_typed_throttle_and_retry_recovers() {
     let digest = local.state_digest();
     let stall = Duration::from_millis(200);
     let options = ServeOptions {
-        reactor: Some(ReactorOptions { retry_after_ms: 7, ..tiny_reactor(stall) }),
+        reactor: ReactorOptions { retry_after_ms: 7, ..tiny_reactor(stall) },
         ..ServeOptions::default()
     };
     let (addr, handle) = daemon_with(local.clone(), options);
@@ -468,10 +468,10 @@ fn connections_parked_in_the_apply_queue_are_reaped_by_the_idle_timeout() {
     let stall = Duration::from_millis(200);
     let options = ServeOptions {
         idle_timeout: Some(Duration::from_millis(50)),
-        reactor: Some(ReactorOptions {
+        reactor: ReactorOptions {
             queue_ops: 64, // roomy queue: the stall, not backpressure, parks us
             ..tiny_reactor(stall)
-        }),
+        },
         ..ServeOptions::default()
     };
     let (addr, handle) = daemon_with(local, options);
@@ -528,11 +528,11 @@ fn connection_cap_sheds_at_accept_with_a_typed_throttle() {
     let local = session(13);
     let digest = local.state_digest();
     let options = ServeOptions {
-        reactor: Some(ReactorOptions {
+        reactor: ReactorOptions {
             max_connections: 1,
             retry_after_ms: 9,
             ..ReactorOptions::default()
-        }),
+        },
         ..ServeOptions::default()
     };
     let (addr, handle) = daemon_with(local, options);
@@ -568,10 +568,11 @@ fn connection_cap_sheds_at_accept_with_a_typed_throttle() {
 
 #[test]
 fn status_surfaces_reactor_counters_and_legacy_omits_them() {
-    // Default serve: the reactor section rides in `status-ok`.
+    // The reactor section rides in `status-ok`. (Counters without one
+    // still decode; `net`'s unit tests cover that encoding.)
     let local = session(14);
     let digest = local.state_digest();
-    let (addr, handle) = daemon_with(local.clone(), ServeOptions::default());
+    let (addr, handle) = daemon_with(local, ServeOptions::default());
     let mut c = connect(&addr);
     c.hello(digest).expect("handshake");
     c.ingest_batch(0, &[0.5, -0.5]).expect("ingest");
@@ -583,23 +584,15 @@ fn status_surfaces_reactor_counters_and_legacy_omits_them() {
     assert_eq!(reactor.throttled, 0, "an unloaded daemon sheds nothing");
     c.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
-
-    // Legacy thread-per-connection serve: no reactor section.
-    let options = ServeOptions { reactor: None, ..ServeOptions::default() };
-    let (addr, handle) = daemon_with(local, options);
-    let mut c = connect(&addr);
-    c.hello(digest).expect("handshake");
-    let (_, _, _, counters) = c.status_counters().expect("status");
-    assert!(counters.expect("counters present").reactor.is_none());
-    c.shutdown().expect("shutdown");
-    handle.join().expect("daemon thread");
 }
 
 #[test]
 fn reactor_and_legacy_daemons_serve_bit_identical_state() {
-    // The same deterministic submission through both serving paths must
-    // produce byte-identical exported state — the reactor's coalesced
-    // group-committed applies change scheduling, never arithmetic.
+    // The same deterministic submission through a default reactor and a
+    // per-frame one (`coalesce: 1`: one frame per run and per batch, so one
+    // lock and one group commit per frame) must produce byte-identical
+    // exported state — coalesced, group-committed applies change
+    // scheduling, never arithmetic.
     let local = session(15);
     let digest = local.state_digest();
     let mut rng = seeded(77);
@@ -612,7 +605,8 @@ fn reactor_and_legacy_daemons_serve_bit_identical_state() {
         .collect();
 
     let mut parts = Vec::new();
-    for reactor in [Some(ReactorOptions::default()), None] {
+    let per_frame = ReactorOptions { coalesce: 1, ..ReactorOptions::default() };
+    for reactor in [ReactorOptions::default(), per_frame] {
         let options = ServeOptions { reactor, ..ServeOptions::default() };
         let (addr, handle) = daemon_with(local.clone(), options);
         let mut c = connect(&addr);
@@ -624,7 +618,7 @@ fn reactor_and_legacy_daemons_serve_bit_identical_state() {
         c.shutdown().expect("shutdown");
         handle.join().expect("daemon thread");
     }
-    assert_eq!(parts[0], parts[1], "reactor and legacy paths diverged");
+    assert_eq!(parts[0], parts[1], "default and per-frame reactors diverged");
 
     let mut twin = local;
     for (i, (g, batch)) in batches.iter().enumerate() {

@@ -1,9 +1,9 @@
 //! The client/aggregator redesign's contract suite.
 //!
-//! 1. **Golden bit-identity** — `Dap::run_schemes` and `SwDap::run_schemes`
-//!    must reproduce, bit for bit, outputs captured from the pre-redesign
-//!    monolithic protocol (PM and SW, ε ∈ {1/4, 1/2, 1}, two seeds, all
-//!    three schemes). The constants below were generated by running the
+//! 1. **Golden bit-identity** — `Dap::run_schemes`, over PM and over SW in
+//!    band mode, must reproduce, bit for bit, outputs captured from the
+//!    pre-redesign monolithic protocol (PM and SW, ε ∈ {1/4, 1/2, 1}, two
+//!    seeds, all three schemes). The constants below were generated by running the
 //!    monolith at commit `693a61c` on exactly these inputs.
 //! 2. **Split-API equivalence** — driving `GroupPlan` → `client` →
 //!    `DapSession::{ingest_batch, finalize}` by hand equals the one-shot
@@ -15,7 +15,7 @@
 
 use dap_attack::{Anchor, Attack, Side, UniformAttack};
 use dap_core::parallel::set_thread_override;
-use dap_core::sw::{SwDap, SwDapConfig};
+use dap_core::sw::SwDapConfig;
 use dap_core::{
     Dap, DapConfig, DapError, DapOutput, DapSession, GroupPlan, Population, Scheme,
 };
@@ -88,7 +88,7 @@ const PM_GOLDEN: [[[(u64, u64, u64); 3]; 2]; 3] = [
     ],
 ];
 
-/// Captured from the pre-redesign monolithic `SwDap::run_schemes`:
+/// Captured from the pre-redesign monolithic SW protocol's `run_schemes`:
 /// `(eps index, seed index) → per-scheme (mean, γ̂)` bits; every probed
 /// side was `Right` (the attack sits in the right inflation band).
 #[rustfmt::skip]
@@ -143,7 +143,7 @@ fn sw_driver_reproduces_pre_redesign_outputs_bit_for_bit() {
     for (ei, &eps) in EPS_GRID.iter().enumerate() {
         for (si, &seed) in SEEDS.iter().enumerate() {
             let pop = sw_population(3_000, 0.25, seed * 2000 + ei as u64);
-            let dap = SwDap::new(sw_config(eps)).unwrap();
+            let dap = Dap::new(sw_config(eps).session_config(), SquareWave::new).unwrap();
             let outs =
                 dap.run_schemes(&pop, &sw_attack(), &Scheme::ALL, &mut seeded(seed)).unwrap();
             for (o, &(mean, gamma)) in outs.iter().zip(&SW_GOLDEN[ei][si]) {
@@ -243,7 +243,7 @@ fn split_api_matches_drivers_bitwise_across_thread_counts() {
             &mut seeded(22),
         );
         let manual = session.finalize(&Scheme::ALL).unwrap();
-        let driver = SwDap::new(swc)
+        let driver = Dap::new(swc.session_config(), SquareWave::new)
             .unwrap()
             .run_schemes(&pop, &sw_attack(), &Scheme::ALL, &mut seeded(22))
             .unwrap();

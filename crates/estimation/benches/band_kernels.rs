@@ -1,10 +1,8 @@
 //! Micro-benchmarks for the E-step band kernels and the end-to-end solver
 //! at the fig7 working shape.
 //!
-//! Compares the portable `axpy`/`dot` kernels against the `axpy_lanes`/
-//! `dot_lanes` lane loops on lane-padded buffers, and times a fixed-
-//! iteration EM solve (d_in=16, d_out=128 — the shape the fig7 protocol
-//! cells hit hardest). Set `CRITERION_JSON=BENCH_kernels.json` to emit one
+//! Times the `axpy`/`dot` kernels and a fixed-iteration EM solve
+//! (d_in=16, d_out=128 — the shape the fig7 protocol cells hit hardest). Set `CRITERION_JSON=BENCH_kernels.json` to emit one
 //! JSON line per benchmark; that is how the checked-in `BENCH_kernels.json`
 //! is produced:
 //!
@@ -13,10 +11,10 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dap_estimation::em::kernels::{axpy, axpy_lanes, dot, dot_lanes};
+use dap_estimation::em::kernels::{axpy, dot};
 use dap_estimation::em::{self, EmOptions, MStep};
 use dap_estimation::rng::seeded;
-use dap_estimation::{Grid, PoisonRegion, TransformMatrix, LANES};
+use dap_estimation::{Grid, PoisonRegion, TransformMatrix};
 use dap_ldp::{NumericMechanism, PiecewiseMechanism};
 use rand::Rng;
 
@@ -27,10 +25,6 @@ fn synth(len: usize, salt: u64) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range(1e-4..1.0)).collect()
 }
 
-fn padded_len(len: usize) -> usize {
-    len.div_ceil(LANES) * LANES
-}
-
 fn bench_dot(c: &mut Criterion) {
     let mut group = c.benchmark_group("dot");
     group.sample_size(40);
@@ -39,16 +33,9 @@ fn bench_dot(c: &mut Criterion) {
     for len in [97usize, 256, 1600] {
         let a = synth(len, 1);
         let b = synth(len, 2);
-        let mut ap = a.clone();
-        let mut bp = b.clone();
-        ap.resize(padded_len(len), 0.0);
-        bp.resize(padded_len(len), 0.0);
         group.throughput(Throughput::Elements(len as u64));
         group.bench_with_input(BenchmarkId::new("portable", len), &len, |bench, _| {
             bench.iter(|| std::hint::black_box(dot(&a, &b)))
-        });
-        group.bench_with_input(BenchmarkId::new("lanes", len), &len, |bench, _| {
-            bench.iter(|| std::hint::black_box(dot_lanes(&ap, &bp)))
         });
     }
     group.finish();
@@ -59,19 +46,11 @@ fn bench_axpy(c: &mut Criterion) {
     group.sample_size(40);
     for len in [97usize, 256, 1600] {
         let v = synth(len, 3);
-        let mut vp = v.clone();
-        vp.resize(padded_len(len), 0.0);
-        let mut out = vec![0.0f64; padded_len(len)];
+        let mut out = vec![0.0f64; len];
         group.throughput(Throughput::Elements(len as u64));
         group.bench_with_input(BenchmarkId::new("portable", len), &len, |bench, _| {
             bench.iter(|| {
-                axpy(&mut out[..len], &v, 0.7);
-                std::hint::black_box(out[0])
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("lanes", len), &len, |bench, _| {
-            bench.iter(|| {
-                axpy_lanes(&mut out, &vp, 0.7);
+                axpy(&mut out, &v, 0.7);
                 std::hint::black_box(out[0])
             })
         });
@@ -81,8 +60,7 @@ fn bench_axpy(c: &mut Criterion) {
 
 /// Fixed-iteration EM solve at the fig7 working shape. `tol = 0` pins the
 /// iteration count at `max_iters`, so this measures per-iteration E-step
-/// cost (structured path; lane kernels when the feature is on) rather than
-/// convergence luck.
+/// cost (structured path) rather than convergence luck.
 fn bench_solve(c: &mut Criterion) {
     let mut group = c.benchmark_group("em_solve");
     group.sample_size(10);

@@ -22,19 +22,9 @@
 //!
 //! Scratch buffers live in an [`EmWorkspace`] so repeated solves (one per
 //! group per trial in the protocol) allocate nothing but their outcome.
-//!
-//! With the `lane-kernels` feature the band sweeps run over the analysis's
-//! [`StructuredColumns::band_padded`] storage through the [`kernels`] lane
-//! loops instead — same terms, different (but fixed) summation order, so
-//! the feature changes low bits and is off by default to keep default
-//! builds bit-identical.
 
 use crate::transform::{StructuredColumns, TransformMatrix};
-#[cfg(feature = "lane-kernels")]
-use crate::transform::LANES;
-use kernels::dot;
-#[cfg(not(feature = "lane-kernels"))]
-use kernels::axpy;
+use kernels::{axpy, dot};
 
 /// Stopping rule for the EM loop.
 ///
@@ -112,10 +102,6 @@ pub struct EmWorkspace {
     pub(crate) py: Vec<f64>,
     den: Vec<f64>,
     w: Vec<f64>,
-    /// Per-column lane partials for the blocked `px` gather
-    /// (`d_in × LANES`, reduced pairwise after the sweep).
-    #[cfg(feature = "lane-kernels")]
-    px_lanes: Vec<f64>,
     /// Smoothing scratch for EMS (see [`crate::ems`]).
     pub(crate) smooth: Vec<f64>,
 }
@@ -126,31 +112,14 @@ impl EmWorkspace {
         Self::default()
     }
 
-    /// Sizes the buffers with `den`/`w` over-allocated to `d_pad`
-    /// rows (≥ `d_out`) so padded lane sweeps stay in bounds; the extra
-    /// tail is zeroed here and never written, so gathered tail products
-    /// are exactly `0.0`.
-    pub(crate) fn prepare_padded(&mut self, d_in: usize, d_out: usize, d_pad: usize) {
-        debug_assert!(d_pad >= d_out);
+    /// Sizes (and zeroes) the buffers for a `d_in → d_out` solve.
+    pub(crate) fn prepare(&mut self, d_in: usize, d_out: usize) {
         resize_fill(&mut self.x, d_in);
         resize_fill(&mut self.y, d_out);
         resize_fill(&mut self.px, d_in);
         resize_fill(&mut self.py, d_out);
-        resize_fill(&mut self.den, d_pad);
-        resize_fill(&mut self.w, d_pad);
-        #[cfg(feature = "lane-kernels")]
-        resize_fill(&mut self.px_lanes, d_in * LANES);
-    }
-
-    /// Prepares for a solve that E-steps through `matrix`'s own analyzed
-    /// structure (the EMS loop) — padding follows the matrix.
-    pub(crate) fn prepare_for(&mut self, matrix: &TransformMatrix) {
-        let d_out = matrix.d_out();
-        #[cfg(feature = "lane-kernels")]
-        let d_pad = matrix.structure().map_or(d_out, |s| s.blocked_rows());
-        #[cfg(not(feature = "lane-kernels"))]
-        let d_pad = d_out;
-        self.prepare_padded(matrix.d_in(), d_out, d_pad);
+        resize_fill(&mut self.den, d_out);
+        resize_fill(&mut self.w, d_out);
     }
 }
 
@@ -258,11 +227,7 @@ fn run_em(
         "initial histograms must be non-negative"
     );
 
-    #[cfg(feature = "lane-kernels")]
-    let d_pad = structure.map_or(d_out, |s| s.blocked_rows());
-    #[cfg(not(feature = "lane-kernels"))]
-    let d_pad = d_out;
-    ws.prepare_padded(d_in, d_out, d_pad);
+    ws.prepare(d_in, d_out);
     ws.x.copy_from_slice(x_init);
     ws.y.copy_from_slice(y_init);
     let mut prev_ll = f64::NEG_INFINITY;
@@ -398,29 +363,14 @@ fn e_step_structured(
     ws: &mut EmWorkspace,
 ) -> (f64, f64) {
     let base = dot(s.floors(), &ws.x);
-    #[cfg(feature = "lane-kernels")]
-    den_pass_blocked(s, &ws.x, base, &mut ws.den);
-    #[cfg(not(feature = "lane-kernels"))]
-    {
-        ws.den.iter_mut().for_each(|v| *v = base);
-        for (k, &xv) in ws.x.iter().enumerate() {
-            let (start, deltas) = s.band(k);
-            axpy(&mut ws.den[start..start + deltas.len()], deltas, xv);
-        }
+    ws.den.iter_mut().for_each(|v| *v = base);
+    for (k, &xv) in ws.x.iter().enumerate() {
+        let (start, deltas) = s.band(k);
+        axpy(&mut ws.den[start..start + deltas.len()], deltas, xv);
     }
 
     let (ll, w_total, py_total) = likelihood_pass(counts, &ws.den, &ws.y, &mut ws.w, &mut ws.py);
 
-    #[cfg(feature = "lane-kernels")]
-    {
-        px_pass_blocked(s, &ws.w, &mut ws.px_lanes);
-        for (k, pxk) in ws.px.iter_mut().enumerate() {
-            let a = &ws.px_lanes[k * LANES..(k + 1) * LANES];
-            let band = ((a[0] + a[4]) + (a[1] + a[5])) + ((a[2] + a[6]) + (a[3] + a[7]));
-            *pxk = ws.x[k] * (s.floors()[k] * w_total + band);
-        }
-    }
-    #[cfg(not(feature = "lane-kernels"))]
     for (k, pxk) in ws.px.iter_mut().enumerate() {
         let (start, deltas) = s.band(k);
         let band = dot(deltas, &ws.w[start..start + deltas.len()]);
@@ -429,77 +379,9 @@ fn e_step_structured(
     (ll, py_total)
 }
 
-/// Blocked `den` sweep: `den_i = base + Σ_k Δ_k[i]·x_k`, walked one
-/// [`LANES`]-tall row block at a time. Each block keeps **two** lane-wide
-/// accumulators fed by alternating entries, so consecutive fused
-/// multiply-adds land on independent registers instead of serializing on
-/// one accumulator's latency; every `den` lane is written exactly once
-/// (sequential stores, no read-modify-write of overlapping bands).
-#[cfg(feature = "lane-kernels")]
-fn den_pass_blocked(s: &StructuredColumns, x: &[f64], base: f64, den: &mut [f64]) {
-    let lane = |vals: &[f64], e: usize| -> [f64; LANES] {
-        vals[e * LANES..(e + 1) * LANES].try_into().expect("lane slice")
-    };
-    for b in 0..s.n_blocks() {
-        let (cols, vals) = s.block(b);
-        let mut acc0 = [0.0f64; LANES];
-        let mut acc1 = [0.0f64; LANES];
-        let mut e = 0;
-        while e + 2 <= cols.len() {
-            let xv0 = x[cols[e] as usize];
-            let v0 = lane(vals, e);
-            let xv1 = x[cols[e + 1] as usize];
-            let v1 = lane(vals, e + 1);
-            for j in 0..LANES {
-                acc0[j] += xv0 * v0[j];
-                acc1[j] += xv1 * v1[j];
-            }
-            e += 2;
-        }
-        if e < cols.len() {
-            let xv = x[cols[e] as usize];
-            let v = lane(vals, e);
-            for j in 0..LANES {
-                acc0[j] += xv * v[j];
-            }
-        }
-        let out: &mut [f64; LANES] =
-            (&mut den[b * LANES..(b + 1) * LANES]).try_into().expect("lane block");
-        for j in 0..LANES {
-            out[j] = base + (acc0[j] + acc1[j]);
-        }
-    }
-}
-
-/// Blocked `px` gather: accumulates `Σ_i Δ_k[i]·w_i` as one lane-wide
-/// partial per column (`px_lanes[k·LANES..]`), adding a full lane of
-/// products per entry. Block order is ascending, so each column's partial
-/// sums its blocks in a fixed order; the caller reduces the eight lanes
-/// pairwise. Rows past `d_out` carry `w = 0`, contributing exact `+0.0`s.
-#[cfg(feature = "lane-kernels")]
-fn px_pass_blocked(s: &StructuredColumns, w: &[f64], px_lanes: &mut [f64]) {
-    px_lanes.iter_mut().for_each(|v| *v = 0.0);
-    for b in 0..s.n_blocks() {
-        let (cols, vals) = s.block(b);
-        let wv: &[f64; LANES] = w[b * LANES..(b + 1) * LANES].try_into().expect("lane block");
-        for (e, &k) in cols.iter().enumerate() {
-            let v: &[f64; LANES] =
-                vals[e * LANES..(e + 1) * LANES].try_into().expect("lane slice");
-            let acc: &mut [f64; LANES] = (&mut px_lanes
-                [k as usize * LANES..(k as usize + 1) * LANES])
-                .try_into()
-                .expect("lane partial");
-            for j in 0..LANES {
-                acc[j] += v[j] * wv[j];
-            }
-        }
-    }
-}
-
 /// The per-row likelihood/responsibility pass of the structured E-step:
 /// `den_i ← max(den_i + y_i, floor)`, `w_i = c_i/den_i`, `py_i = y_i·w_i`,
 /// returning `(Σ c_i·ln den_i, Σ w_i, Σ py_i)`.
-#[cfg(not(feature = "lane-kernels"))]
 fn likelihood_pass(
     counts: &[f64],
     den: &[f64],
@@ -531,103 +413,6 @@ fn likelihood_pass(
         }
     }
     (ll, w_total, py_total)
-}
-
-/// Lane variant of the likelihood pass: **branch-free** and unrolled four
-/// rows wide with one partial accumulator each, so the whole body — the
-/// two divisions per row included — is if-converted and vectorized instead
-/// of serializing on the `c > 0` branch. A zero count contributes exactly
-/// `+0.0` to every accumulator and slot (`0/den = 0`, `0·ln den = 0`,
-/// `y·0 = 0` for the non-negative `y`), so dropping the branch changes no
-/// bits; only the four-lane summation order differs from the scalar pass,
-/// hence the gate.
-#[cfg(feature = "lane-kernels")]
-fn likelihood_pass(
-    counts: &[f64],
-    den: &[f64],
-    y: &[f64],
-    w: &mut [f64],
-    py: &mut [f64],
-) -> (f64, f64, f64) {
-    const U: usize = 4;
-    let d = counts.len();
-    let mut ll = [0.0f64; U];
-    let mut wt = [0.0f64; U];
-    let mut pt = [0.0f64; U];
-    let mut i = 0;
-    while i + U <= d {
-        // Array-at-a-time: each step is its own four-lane loop over local
-        // arrays, so the vectorizer sees straight packed operations rather
-        // than having to re-discover them across four scalar chains.
-        let mut dv = [0.0f64; U];
-        for j in 0..U {
-            dv[j] = (den[i + j] + y[i + j]).max(DENSITY_FLOOR);
-        }
-        let ln = fast_ln_lanes(dv);
-        for j in 0..U {
-            let c = counts[i + j];
-            ll[j] += c * ln[j];
-            let wi = c / dv[j];
-            w[i + j] = wi;
-            wt[j] += wi;
-            let pyi = y[i + j] * wi;
-            py[i + j] = pyi;
-            pt[j] += pyi;
-        }
-        i += U;
-    }
-    while i < d {
-        let c = counts[i];
-        let d_i = (den[i] + y[i]).max(DENSITY_FLOOR);
-        ll[0] += c * fast_ln(d_i);
-        let wi = c / d_i;
-        w[i] = wi;
-        wt[0] += wi;
-        let pyi = y[i] * wi;
-        py[i] = pyi;
-        pt[0] += pyi;
-        i += 1;
-    }
-    (
-        (ll[0] + ll[2]) + (ll[1] + ll[3]),
-        (wt[0] + wt[2]) + (wt[1] + wt[3]),
-        (pt[0] + pt[2]) + (pt[1] + pt[3]),
-    )
-}
-
-/// Four [`fast_ln`]s at once, written as per-step lane loops over local
-/// arrays. Every step — the exponent/mantissa bit split included — has a
-/// packed encoding, so the whole evaluation vectorizes; each lane computes
-/// exactly the scalar [`fast_ln`] value (same operations, same order).
-#[cfg(feature = "lane-kernels")]
-#[inline]
-fn fast_ln_lanes(x: [f64; 4]) -> [f64; 4] {
-    let mut t = [0.0f64; 4];
-    let mut e = [0.0f64; 4];
-    for j in 0..4 {
-        debug_assert!(x[j] > 0.0 && x[j].is_finite() && x[j] >= f64::MIN_POSITIVE);
-        let bits = x[j].to_bits();
-        let e0 = ((bits >> 52) & 0x7ff) as i32 - 1023;
-        let m0 = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
-        let big = m0 > std::f64::consts::SQRT_2;
-        let m = if big { m0 * 0.5 } else { m0 };
-        e[j] = (e0 + big as i32) as f64;
-        t[j] = (m - 1.0) / (m + 1.0);
-    }
-    let mut out = [0.0f64; 4];
-    for j in 0..4 {
-        let t2 = t[j] * t[j];
-        let p = 1.0
-            + t2 * (1.0 / 3.0
-                + t2 * (1.0 / 5.0
-                    + t2 * (1.0 / 7.0
-                        + t2 * (1.0 / 9.0
-                            + t2 * (1.0 / 11.0
-                                + t2 * (1.0 / 13.0
-                                    + t2 * (1.0 / 15.0 + t2 * (1.0 / 17.0))))))));
-        out[j] = 2.0 * t[j] * p + e[j] * std::f64::consts::LN_2;
-    }
-    out
 }
 
 /// Natural log for positive normal doubles, accurate to a few ulp and
@@ -666,24 +451,10 @@ fn fast_ln(x: f64) -> f64 {
     2.0 * t * p + e as f64 * std::f64::consts::LN_2
 }
 
-/// The E-step's inner vector kernels.
-///
-/// Two tiers live here:
-///
-/// * `axpy`/`dot` — the portable kernels every build uses. `dot` fixes a
-///   four-accumulator summation order the compiler can keep in SIMD lanes;
-///   `axpy` is element-independent, so the autovectorizer handles it.
-/// * `axpy_lanes`/`dot_lanes` — lane kernels for slices padded to a
-///   [`crate::transform::LANES`] multiple (see
-///   [`StructuredColumns::band_padded`]). With the
-///   length a compile-time-visible lane multiple there is no scalar tail
-///   and no trip-count check inside the hot loop, so each iteration is a
-///   straight load/fma-free mul-add over full registers. `dot_lanes` uses
-///   a *different* (wider) summation order than `dot`, which is why the
-///   lane path sits behind the `lane-kernels` feature.
+/// The E-step's inner vector kernels. `dot` fixes a four-accumulator
+/// summation order the compiler can keep in SIMD lanes; `axpy` is
+/// element-independent, so the autovectorizer handles it.
 pub mod kernels {
-    pub use crate::transform::LANES;
-
     /// `out[i] += a·v[i]` over equal-length slices.
     #[inline]
     pub fn axpy(out: &mut [f64], v: &[f64], a: f64) {
@@ -710,70 +481,6 @@ pub mod kernels {
             tail += x * y;
         }
         (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
-    }
-
-    /// `out[i] += a·v[i]` for slices whose length is a [`LANES`] multiple.
-    ///
-    /// Per-element result is identical to [`axpy`] (same `a·v[i]` product,
-    /// same single add into `out[i]`); only the loop structure changes, so
-    /// this kernel is bit-compatible with the portable one.
-    #[inline]
-    pub fn axpy_lanes(out: &mut [f64], v: &[f64], a: f64) {
-        debug_assert_eq!(out.len(), v.len());
-        debug_assert_eq!(v.len() % LANES, 0);
-        // The element-independent update auto-vectorizes; the lane win is
-        // entirely in the *data* — a padded length means the vector loop
-        // runs with no scalar epilogue. Hand-rolled chunk loops measured
-        // slower than this shape on every tested width, so the kernel
-        // shares the portable loop (which also makes bit-identity with
-        // [`axpy`] true by construction).
-        axpy(out, v, a);
-    }
-
-    /// Dot product over [`LANES`]-padded slices: two `LANES`-wide
-    /// accumulator registers fed alternately, reduced pairwise at the end.
-    ///
-    /// The summation order is fixed but differs from [`dot`]'s, so callers
-    /// must treat the two as *numerically distinct* kernels (both are within
-    /// ordinary rounding of the true sum; the EM equivalence suite pins the
-    /// end-to-end difference at ≤ 1e-12 against the dense reference).
-    #[inline]
-    pub fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        debug_assert_eq!(a.len() % LANES, 0);
-        let mut acc0 = [0.0f64; LANES];
-        let mut acc1 = [0.0f64; LANES];
-        let mut chunks_a = a.chunks_exact(2 * LANES);
-        let mut chunks_b = b.chunks_exact(2 * LANES);
-        for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-            let ca: &[f64; 2 * LANES] = ca.try_into().expect("exact chunk");
-            let cb: &[f64; 2 * LANES] = cb.try_into().expect("exact chunk");
-            for j in 0..LANES {
-                acc0[j] += ca[j] * cb[j];
-                acc1[j] += ca[LANES + j] * cb[LANES + j];
-            }
-        }
-        // Remainder is zero or one LANES-chunk; fold it into acc1.
-        let (ra, rb) = (chunks_a.remainder(), chunks_b.remainder());
-        if !ra.is_empty() {
-            let ra: &[f64; LANES] = ra.try_into().expect("lane-multiple remainder");
-            let rb: &[f64; LANES] = rb.try_into().expect("lane-multiple remainder");
-            for j in 0..LANES {
-                acc1[j] += ra[j] * rb[j];
-            }
-        }
-        for j in 0..LANES {
-            acc0[j] += acc1[j];
-        }
-        // Pairwise reduction tree over the LANES partials.
-        let mut width = LANES / 2;
-        while width > 0 {
-            for j in 0..width {
-                acc0[j] += acc0[j + width];
-            }
-            width /= 2;
-        }
-        acc0[0]
     }
 }
 

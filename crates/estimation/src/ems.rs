@@ -41,7 +41,7 @@ pub fn solve_in(
     let d_in = matrix.d_in();
     assert_eq!(counts.len(), matrix.d_out(), "counts length must equal d'");
 
-    ws.prepare_for(matrix);
+    ws.prepare(d_in, matrix.d_out());
     ws.x.iter_mut().for_each(|v| *v = 1.0 / d_in as f64);
     let mut prev_ll = f64::NEG_INFINITY;
     let mut converged = false;

@@ -25,4 +25,4 @@ pub mod transform;
 pub use cache::{cached_for_numeric, MatrixCache};
 pub use em::{EmOptions, EmOutcome, EmWorkspace, MStep};
 pub use grid::Grid;
-pub use transform::{PoisonRegion, StructuredColumns, TransformMatrix, LANES};
+pub use transform::{PoisonRegion, StructuredColumns, TransformMatrix};

@@ -16,11 +16,6 @@
 use crate::grid::Grid;
 use dap_ldp::{CategoricalMechanism, NumericMechanism};
 
-/// Lane width the padded band storage rounds up to: f64×8 fills one
-/// AVX-512 register (two AVX2 registers, four SSE2), so a kernel that
-/// walks whole lanes needs no scalar remainder loop on any x86-64 tier.
-pub const LANES: usize = 8;
-
 /// Which output buckets may contain poison values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoisonRegion {
@@ -65,31 +60,6 @@ pub struct StructuredColumns {
     band_offset: Vec<usize>,
     /// Concatenated band deltas (`M[i][k] − floor_k`).
     values: Vec<f64>,
-    /// Prefix offsets into `padded` (`len d_in + 1`).
-    padded_offset: Vec<usize>,
-    /// The same bands zero-padded to a [`LANES`] multiple each, so the
-    /// lane kernels can walk whole lanes with no remainder loop. A zero
-    /// delta contributes exactly nothing to an axpy/dot, so padded and
-    /// true-length sweeps accumulate the same terms (in a different
-    /// order — which is why the lane path sits behind a feature gate).
-    padded: Vec<f64>,
-    /// Minimum scratch-vector length a padded sweep may touch:
-    /// `max_k(start_k + padded_len_k)` (≥ the matrix's `d_out`).
-    padded_rows: usize,
-    /// Row-lane-blocked view: entry offsets per [`LANES`]-tall row block
-    /// (CSR-style, `len n_blocks + 1`). The blocked E-step walks whole
-    /// blocks instead of whole bands, so the `den` sweep writes each lane
-    /// exactly once (no overlapping scatter stores) and the `px` gather
-    /// keeps one lane-wide partial per column.
-    block_ptr: Vec<usize>,
-    /// Column index of each blocked entry.
-    block_col: Vec<u32>,
-    /// [`LANES`] delta values per blocked entry: entry `e` stores column
-    /// `block_col[e]`'s deltas for its block's rows, `0.0` where the true
-    /// band does not reach. A zero lane contributes exactly `+0.0` to an
-    /// accumulator, so the blocked sweeps sum the same terms as the band
-    /// sweeps (in a different order — the feature-gate caveat again).
-    block_vals: Vec<f64>,
 }
 
 impl StructuredColumns {
@@ -135,59 +105,7 @@ impl StructuredColumns {
         if (values.len() as f64) > Self::MAX_FILL * (d_out * d_in) as f64 {
             return None;
         }
-        let mut padded_offset = Vec::with_capacity(d_in + 1);
-        let mut padded = Vec::new();
-        let mut padded_rows = d_out;
-        padded_offset.push(0);
-        for k in 0..d_in {
-            let band = &values[band_offset[k]..band_offset[k + 1]];
-            let rounded = band.len().div_ceil(LANES) * LANES;
-            padded.extend_from_slice(band);
-            padded.resize(padded_offset[k] + rounded, 0.0);
-            padded_offset.push(padded.len());
-            padded_rows = padded_rows.max(band_start[k] + rounded);
-        }
-        // Cut the (padded) row space into LANES-tall blocks and slice every
-        // intersecting band into per-block lane vectors. Entries are emitted
-        // in (block, column) order, which fixes the blocked sweeps'
-        // accumulation order once and for all.
-        let blocked_rows = padded_rows.div_ceil(LANES) * LANES;
-        let n_blocks = blocked_rows / LANES;
-        let mut block_ptr = Vec::with_capacity(n_blocks + 1);
-        let mut block_col = Vec::new();
-        let mut block_vals = Vec::new();
-        block_ptr.push(0);
-        for b in 0..n_blocks {
-            let lo = b * LANES;
-            let hi = lo + LANES;
-            for k in 0..d_in {
-                let start = band_start[k];
-                let end = start + (band_offset[k + 1] - band_offset[k]);
-                if start < hi && end > lo {
-                    block_col.push(k as u32);
-                    block_vals.extend((lo..hi).map(|row| {
-                        if row >= start && row < end {
-                            values[band_offset[k] + (row - start)]
-                        } else {
-                            0.0
-                        }
-                    }));
-                }
-            }
-            block_ptr.push(block_col.len());
-        }
-        Some(StructuredColumns {
-            floors,
-            band_start,
-            band_offset,
-            values,
-            padded_offset,
-            padded,
-            padded_rows,
-            block_ptr,
-            block_col,
-            block_vals,
-        })
+        Some(StructuredColumns { floors, band_start, band_offset, values })
     }
 
     /// Per-column floors (length `d_in`).
@@ -202,50 +120,10 @@ impl StructuredColumns {
         (self.band_start[k], &self.values[self.band_offset[k]..self.band_offset[k + 1]])
     }
 
-    /// Column `k`'s band as `(first_row, deltas)` with the delta slice
-    /// zero-padded to a [`LANES`] multiple. The padded tail is exactly
-    /// `0.0`, so it adds nothing to an axpy and multiplies any gathered
-    /// value to nothing in a dot; callers only need scratch vectors of
-    /// [`StructuredColumns::padded_rows`] length.
-    #[inline]
-    pub fn band_padded(&self, k: usize) -> (usize, &[f64]) {
-        (self.band_start[k], &self.padded[self.padded_offset[k]..self.padded_offset[k + 1]])
-    }
-
-    /// Minimum scratch-vector length the padded bands may touch
-    /// (`≥ d_out`); the EM workspace over-allocates to this.
-    #[inline]
-    pub fn padded_rows(&self) -> usize {
-        self.padded_rows
-    }
-
     /// Total stored band entries (the `nnz` of the analysis).
     #[inline]
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Number of [`LANES`]-tall row blocks in the blocked view.
-    #[inline]
-    pub fn n_blocks(&self) -> usize {
-        self.block_ptr.len() - 1
-    }
-
-    /// Rows the blocked sweeps cover: [`StructuredColumns::padded_rows`]
-    /// rounded up to a [`LANES`] multiple. Scratch vectors the blocked
-    /// E-step reads or writes must be at least this long.
-    #[inline]
-    pub fn blocked_rows(&self) -> usize {
-        self.n_blocks() * LANES
-    }
-
-    /// Block `b`'s intersecting columns and their lane slices: entry `e`
-    /// covers column `cols[e]` with deltas `vals[e·LANES .. (e+1)·LANES]`
-    /// for rows `b·LANES .. (b+1)·LANES`.
-    #[inline]
-    pub fn block(&self, b: usize) -> (&[u32], &[f64]) {
-        let (lo, hi) = (self.block_ptr[b], self.block_ptr[b + 1]);
-        (&self.block_col[lo..hi], &self.block_vals[lo * LANES..hi * LANES])
     }
 }
 
@@ -588,67 +466,6 @@ mod tests {
         let s = m.structure().expect("k-RR is perfectly banded");
         assert_eq!(s.nnz(), 12);
         assert_structure_matches(&m);
-    }
-
-    #[test]
-    fn padded_bands_are_lane_multiples_of_the_true_bands() {
-        for (d_in, d_out) in [(16usize, 64usize), (16, 89), (8, 97), (16, 127)] {
-            let mech = PiecewiseMechanism::with_epsilon(0.5).unwrap();
-            let m = TransformMatrix::for_numeric(&mech, d_in, d_out, &PoisonRegion::RightOf(0.0));
-            let s = m.structure().expect("PM analyzes");
-            let mut max_end = m.d_out();
-            for k in 0..d_in {
-                let (start, band) = s.band(k);
-                let (pstart, padded) = s.band_padded(k);
-                assert_eq!(start, pstart);
-                assert_eq!(padded.len() % LANES, 0, "column {k} not lane-aligned");
-                assert!(padded.len() - band.len() < LANES, "column {k} over-padded");
-                assert_eq!(&padded[..band.len()], band, "column {k} deltas differ");
-                assert!(padded[band.len()..].iter().all(|&v| v == 0.0));
-                max_end = max_end.max(start + padded.len());
-            }
-            assert_eq!(s.padded_rows(), max_end);
-        }
-    }
-
-    #[test]
-    fn blocked_view_reconstructs_the_bands_exactly() {
-        for (d_in, d_out) in [(16usize, 64usize), (16, 89), (8, 97), (16, 127), (16, 128)] {
-            let mech = PiecewiseMechanism::with_epsilon(0.5).unwrap();
-            let m = TransformMatrix::for_numeric(&mech, d_in, d_out, &PoisonRegion::RightOf(0.0));
-            let s = m.structure().expect("PM analyzes");
-            assert_eq!(s.blocked_rows() % LANES, 0);
-            assert!(s.blocked_rows() >= s.padded_rows());
-            assert!(s.blocked_rows() - s.padded_rows() < LANES);
-            // Scatter the blocked entries back into a dense delta matrix and
-            // compare against the band view — same values, zero elsewhere.
-            let mut dense = vec![0.0f64; s.blocked_rows() * d_in];
-            for b in 0..s.n_blocks() {
-                let (cols, vals) = s.block(b);
-                for (e, &k) in cols.iter().enumerate() {
-                    for (j, &v) in vals[e * LANES..(e + 1) * LANES].iter().enumerate() {
-                        let row = b * LANES + j;
-                        assert_eq!(dense[row * d_in + k as usize], 0.0, "duplicate entry");
-                        dense[row * d_in + k as usize] = v;
-                    }
-                }
-            }
-            for k in 0..d_in {
-                let (start, band) = s.band(k);
-                for row in 0..s.blocked_rows() {
-                    let expect = if row >= start && row < start + band.len() {
-                        band[row - start]
-                    } else {
-                        0.0
-                    };
-                    assert_eq!(
-                        dense[row * d_in + k].to_bits(),
-                        expect.to_bits(),
-                        "column {k} row {row}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -103,10 +103,8 @@ proptest! {
         assert_equivalent(&matrix, &counts, MStep::Constrained { gamma: 0.3 });
     }
 
-    /// Odd and prime output-grid sizes: every band length is coprime to the
-    /// kernel lane width, so the lane path (when the `lane-kernels` feature
-    /// is on) exercises its zero-padded tails on every single column — and
-    /// the portable path its scalar remainders.
+    /// Odd and prime output-grid sizes, so the band kernels exercise their
+    /// scalar remainders.
     #[test]
     fn prime_d_out_structured_matches_dense(
         eps in 0.0625f64..4.0,

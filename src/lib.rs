@@ -89,7 +89,6 @@ pub mod prelude {
     };
     pub use crate::protocol::{
         aggregate, ClientAssignment, Dap, DapConfig, DapError, DapOutput, DapSession,
-        EstimationMode, GroupPlan, Population, PrivacyAccountant, Scheme, SwDap, SwDapConfig,
-        Weighting,
+        EstimationMode, GroupPlan, Population, PrivacyAccountant, Scheme, SwDapConfig, Weighting,
     };
 }
