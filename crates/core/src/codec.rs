@@ -8,6 +8,17 @@
 //! runs at the bit-pattern level — so the encoding lives here, once, and
 //! both layers import it. A decimal printed for humans is advisory; the
 //! `0x`-hex IEEE-754 bit pattern is authoritative.
+//!
+//! The hex token is also the per-report unit of the wire and journal
+//! formats, so its two directions are table-driven: [`push_hex_u64`]
+//! writes the 18 bytes from a digit table, and [`parse_hex_u64`] reads a
+//! canonical token (`0x` + exactly 16 digits) through a nibble table. Any
+//! other token takes the general `u64::from_str_radix` path, so accepted
+//! inputs, values and error strings are those of the plain formatter and
+//! parser. The property suites in `net/wire_fuzz.rs` hold both
+//! directions — and the frame codec built on them — byte-identical to
+//! those plain implementations, which stay here as a test-only
+//! reference (`codec::reference`, compiled into unit tests only).
 
 use std::fmt::Write as _;
 
@@ -29,11 +40,40 @@ pub fn f64_to_hex(v: f64) -> String {
     hex_u64(v.to_bits())
 }
 
+/// Lowercase hex digits by nibble value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Nibble value by byte, with [`NOT_HEX`] for every byte that is not a hex
+/// digit of either case (`from_str_radix` accepts both).
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX_DIGITS[i] as usize] = i as u8;
+        table[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// [`HEX_VALUES`] entry of a non-digit; its high bit survives an OR over
+/// any number of nibble values.
+const NOT_HEX: u8 = 0x80;
+
 /// Appends [`hex_u64`] to an existing buffer — the allocation-free form
 /// for hot encoding loops (a million-report wire batch writes a million
-/// of these).
+/// of these). Byte-identical to `write!(out, "{v:#018x}")`.
 pub fn push_hex_u64(out: &mut String, v: u64) {
-    let _ = write!(out, "{v:#018x}");
+    #[cfg(test)]
+    if reference::on() {
+        let _ = write!(out, "{v:#018x}");
+        return;
+    }
+    let mut token = *b"0x0000000000000000";
+    for (i, digit) in token[2..].iter_mut().enumerate() {
+        *digit = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
+    }
+    out.push_str(std::str::from_utf8(&token).expect("hex digits are ASCII"));
 }
 
 /// Appends [`f64_to_hex`] to an existing buffer without allocating.
@@ -44,8 +84,32 @@ pub fn push_hex_f64(out: &mut String, v: f64) {
 /// Parses a `0x`-prefixed hex u64 (the inverse of [`hex_u64`]; leading
 /// zeros optional).
 pub fn parse_hex_u64(s: &str) -> Result<u64, String> {
+    #[cfg(test)]
+    if reference::on() {
+        return parse_hex_general(s);
+    }
+    parse_canonical_hex(s.as_bytes()).map_or_else(|| parse_hex_general(s), Ok)
+}
+
+/// `0x` and `u64::from_str_radix`: every token the canonical path does
+/// not take (short, uppercase-prefixed, signed, malformed, …).
+fn parse_hex_general(s: &str) -> Result<u64, String> {
     let digits = s.strip_prefix("0x").ok_or_else(|| format!("expected 0x-hex, got '{s}'"))?;
     u64::from_str_radix(digits, 16).map_err(|e| format!("bad hex '{s}': {e}"))
+}
+
+/// The value of a canonical token — `0x` and exactly 16 hex digits, the
+/// shape [`hex_u64`] writes — or `None` for any other token. Sixteen
+/// digits cannot overflow, so `None` means "not canonical", never "bad".
+pub(crate) fn parse_canonical_hex(token: &[u8]) -> Option<u64> {
+    let digits: &[u8; 16] = token.strip_prefix(b"0x")?.try_into().ok()?;
+    let (mut v, mut seen) = (0u64, 0u8);
+    for &d in digits {
+        let nibble = HEX_VALUES[d as usize];
+        seen |= nibble;
+        v = v << 4 | u64::from(nibble & 0xf);
+    }
+    (seen & NOT_HEX == 0).then_some(v)
 }
 
 /// Parses an f64 from its [`f64_to_hex`] bit pattern.
@@ -123,6 +187,31 @@ impl Fnv {
 impl Default for Fnv {
     fn default() -> Self {
         Fnv::new()
+    }
+}
+
+/// Test-only switch back to the plain implementations the fast paths
+/// replace: `format!("{v:#018x}")` for [`push_hex_u64`],
+/// `u64::from_str_radix` for every token [`parse_hex_u64`] reads, and
+/// `str::split_whitespace` for the frame tokenizer. Per thread, so a
+/// differential test flips it without touching tests running beside it.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::cell::Cell;
+
+    thread_local!(static ON: Cell<bool> = const { Cell::new(false) });
+
+    /// Whether this thread runs the reference implementations.
+    pub(crate) fn on() -> bool {
+        ON.with(Cell::get)
+    }
+
+    /// `f`'s result with the reference implementations on for this thread.
+    pub(crate) fn run<T>(f: impl FnOnce() -> T) -> T {
+        ON.with(|on| on.set(true));
+        let out = f();
+        ON.with(|on| on.set(false));
+        out
     }
 }
 

@@ -11,8 +11,10 @@
 //! retryable [`WireError::Throttled`] instead of blocking
 //! (backpressure). The accept loop runs over `std::net::TcpListener` —
 //! the workspace has no async runtime, by design. Clients drive the
-//! daemon through [`WireClient`]. The frame set mirrors the session API
-//! one-to-one:
+//! daemon through [`WireClient`], which coalesces its writes: frames
+//! queued by [`WireClient::send_frame`] leave as one write when the next
+//! receive would block, so a pipelined window reaches the daemon as one
+//! run. The frame set mirrors the session API one-to-one:
 //!
 //! | frame | direction | reply | meaning |
 //! |---|---|---|---|
@@ -36,7 +38,11 @@
 //! shared [`crate::codec`], the same encoding the `dap-results/v1` JSON
 //! schema uses, so a value crosses the wire **exactly**: the golden
 //! loopback suites pin a coordinator-over-TCP run bit-identical to a
-//! single-process one.
+//! single-process one. Tokens split on `char::is_whitespace`; the decoder
+//! walks the body with a byte cursor and reads the canonical 18-byte hex
+//! token through a table, and the property suites in `net/wire_fuzz.rs`
+//! hold it to the plain `split_whitespace` / `from_str_radix` decoder it
+//! replaced.
 //!
 //! Rejections stay typed across the hop: a [`DapError`] raised by the
 //! session (out-of-range report, over-quota traffic, unknown group,
@@ -47,7 +53,12 @@
 //! answers every frame on a connection with [`WireError::Unauthorized`]
 //! until a `hello` carrying a recognized token succeeds — authentication
 //! is connection-scoped and precedes all session dispatch, so an
-//! unauthenticated peer cannot even probe `status`.
+//! unauthenticated peer cannot even probe `status`. Until then the
+//! connection may not send a frame longer than 4 KiB (a full hello is 113
+//! bytes): a longer length prefix gets the typed [`WireError::BadFrame`]
+//! farewell before any of its body is read. Every frame body is read into
+//! a buffer that grows as bytes arrive, so a claimed length reserves at
+//! most 64 KiB before the peer sends the bytes.
 
 use crate::codec::{self, f64_to_hex, hex_u64};
 use crate::error::DapError;
@@ -72,6 +83,16 @@ pub const WIRE_VERSION: &str = "dap-wire/v1";
 /// protocol limit (the largest legitimate frame, a 1M-report batch, is
 /// ~20 MB of hex tokens).
 const MAX_FRAME: usize = 64 << 20;
+
+/// Upper bound on a frame a daemon with auth tokens reads before the
+/// connection's hello authenticates. A hello with every optional section
+/// is 113 bytes; the cap keeps a stranger from making the daemon hold a
+/// large body buffer per connection.
+const PRE_AUTH_FRAME: usize = 4 << 10;
+
+/// Most bytes a frame body buffer holds before bytes arrive to fill it;
+/// beyond it the buffer grows with the data read.
+const BODY_CHUNK: usize = 64 << 10;
 
 /// A typed error crossing the wire (or raised by the transport itself).
 #[derive(Debug, Clone, PartialEq)]
@@ -524,7 +545,15 @@ fn push_outputs(s: &mut String, outputs: &[DapOutput]) {
 /// use [`write_frame`] to put frames on a stream.
 pub fn encode_frame(frame: &Frame) -> String {
     use std::fmt::Write as _;
-    let mut s = String::new();
+    // A batch body is its header plus 19 bytes (a hex token and a
+    // separator) per element; sizing for it up front saves the regrowths.
+    let mut s = String::with_capacity(match frame {
+        Frame::IngestBatch { reports, .. } | Frame::IngestBatchSeq { reports, .. } => {
+            64 + 19 * reports.len()
+        }
+        Frame::ShareBatch { counts, .. } => 64 + 19 * counts.len(),
+        _ => 64,
+    });
     match frame {
         Frame::Hello { version, digest, channel, auth, commit } => {
             let _ = write!(s, "hello {version} {}", hex_u64(*digest));
@@ -562,12 +591,9 @@ pub fn encode_frame(frame: &Frame) -> String {
             }
         }
         Frame::IngestBatchSeq { channel, seq, group, reports } => {
-            let _ = writeln!(
-                s,
-                "seq-batch {} {seq} {group} {}",
-                hex_u64(*channel),
-                reports.len()
-            );
+            s.push_str("seq-batch ");
+            codec::push_hex_u64(&mut s, *channel);
+            let _ = writeln!(s, " {seq} {group} {}", reports.len());
             for (i, r) in reports.iter().enumerate() {
                 if i > 0 {
                     s.push(' ');
@@ -576,12 +602,9 @@ pub fn encode_frame(frame: &Frame) -> String {
             }
         }
         Frame::ShareBatch { channel, seq, group, counts } => {
-            let _ = writeln!(
-                s,
-                "share-batch {} {seq} {group} {}",
-                hex_u64(*channel),
-                counts.len()
-            );
+            s.push_str("share-batch ");
+            codec::push_hex_u64(&mut s, *channel);
+            let _ = writeln!(s, " {seq} {group} {}", counts.len());
             for (i, &w) in counts.iter().enumerate() {
                 if i > 0 {
                     s.push(' ');
@@ -744,17 +767,59 @@ fn encode_error(s: &mut String, e: &WireError) {
     }
 }
 
-/// Whitespace tokenizer with typed accessors; every parse failure is a
-/// [`WireError::BadFrame`] naming the missing piece.
+/// Byte cursor over a frame body with typed accessors; every parse
+/// failure is a [`WireError::BadFrame`] naming the missing piece.
+///
+/// Tokens are split on exactly `char::is_whitespace`, the rule of
+/// `str::split_whitespace`: the ASCII separators (U+0009–U+000D, U+0020)
+/// are tested per byte, and only a non-ASCII byte decodes its char.
+/// `u8::is_ascii_whitespace` would not do — it omits U+000B.
 struct Tokens<'a> {
-    it: std::str::SplitWhitespace<'a>,
-    /// Address one past the body's last byte, for [`Tokens::capacity`].
-    end: usize,
+    body: &'a str,
+    /// Byte offset of the unread rest; always on a char boundary.
+    pos: usize,
+}
+
+/// Whether `b` is one of the ASCII chars `char::is_whitespace` accepts.
+fn ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// The first byte offset at or after `i` where `s` stops being whitespace
+/// (`ws`) or non-whitespace (`!ws`). `i` must be on a char boundary.
+fn scan(s: &str, mut i: usize, ws: bool) -> usize {
+    let bytes = s.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        let (is_ws, width) = if b.is_ascii() {
+            (ascii_space(b), 1)
+        } else {
+            let c = s[i..].chars().next().expect("the cursor sits on a char boundary");
+            (c.is_whitespace(), c.len_utf8())
+        };
+        if is_ws != ws {
+            break;
+        }
+        i += width;
+    }
+    i
 }
 
 impl<'a> Tokens<'a> {
     fn new(body: &'a str) -> Tokens<'a> {
-        Tokens { it: body.split_whitespace(), end: body.as_ptr() as usize + body.len() }
+        Tokens { body, pos: 0 }
+    }
+
+    /// Byte range of the next token, without consuming it.
+    fn span(&self) -> Option<(usize, usize)> {
+        #[cfg(test)]
+        if codec::reference::on() {
+            let rest = &self.body[self.pos..];
+            let token = rest.split_whitespace().next()?;
+            let start = self.pos + (token.as_ptr() as usize - rest.as_ptr() as usize);
+            return Some((start, start + token.len()));
+        }
+        let start = scan(self.body, self.pos, true);
+        (start < self.body.len()).then(|| (start, scan(self.body, start, false)))
     }
 
     /// `count`, an element count read off the wire, clamped to the most
@@ -762,7 +827,7 @@ impl<'a> Tokens<'a> {
     /// least a byte and a separator). Preallocating by this keeps honest
     /// frames exact while a forged count cannot allocate past the frame.
     fn capacity(&self, count: usize) -> usize {
-        let rest = self.peek().map_or(0, |tok| self.end - tok.as_ptr() as usize);
+        let rest = self.span().map_or(0, |(start, _)| self.body.len() - start);
         count.min(rest.div_ceil(2))
     }
 
@@ -771,7 +836,9 @@ impl<'a> Tokens<'a> {
     }
 
     fn next(&mut self, what: &str) -> Result<&'a str, WireError> {
-        self.it.next().ok_or_else(|| Self::bad(what))
+        let (start, end) = self.span().ok_or_else(|| Self::bad(what))?;
+        self.pos = end;
+        Ok(&self.body[start..end])
     }
 
     fn usize(&mut self, what: &str) -> Result<usize, WireError> {
@@ -783,20 +850,43 @@ impl<'a> Tokens<'a> {
     }
 
     fn hex_u64(&mut self, what: &str) -> Result<u64, WireError> {
+        if let Some(v) = self.canonical_hex() {
+            return Ok(v);
+        }
         codec::parse_hex_u64(self.next(what)?)
             .map_err(|reason| WireError::BadFrame { reason })
     }
 
+    /// The hot path of [`Tokens::hex_u64`]: one ASCII separator, then a
+    /// canonical 18-byte token ending at an ASCII separator or the end of
+    /// the body — how [`encode_frame`] lays out every hex token after the
+    /// tag. Consumed only when it matches; any other layout is left to
+    /// the general path, which reads it exactly as before.
+    fn canonical_hex(&mut self) -> Option<u64> {
+        #[cfg(test)]
+        if codec::reference::on() {
+            return None;
+        }
+        let bytes = self.body.as_bytes();
+        let token = bytes.get(self.pos + 1..self.pos + 19)?;
+        let ends = bytes.get(self.pos + 19).is_none_or(|&b| ascii_space(b));
+        if !ascii_space(bytes[self.pos]) || !ends {
+            return None;
+        }
+        let v = codec::parse_canonical_hex(token)?;
+        self.pos += 19;
+        Some(v)
+    }
+
     fn hex_f64(&mut self, what: &str) -> Result<f64, WireError> {
-        codec::parse_hex_f64(self.next(what)?)
-            .map_err(|reason| WireError::BadFrame { reason })
+        self.hex_u64(what).map(f64::from_bits)
     }
 
     /// The next token without consuming it — how optional trailing
     /// sections (a hello's `channel`, a part's `seqs` table) are detected
     /// before [`Tokens::done`] enforces "no trailing garbage".
     fn peek(&self) -> Option<&'a str> {
-        self.it.clone().next()
+        self.span().map(|(start, end)| &self.body[start..end])
     }
 
     fn literal(&mut self, word: &str) -> Result<(), WireError> {
@@ -808,8 +898,7 @@ impl<'a> Tokens<'a> {
     }
 
     fn done(self) -> Result<(), WireError> {
-        let mut it = self.it;
-        match it.next() {
+        match self.peek() {
             None => Ok(()),
             Some(extra) => Err(WireError::BadFrame {
                 reason: format!("trailing token '{extra}'"),
@@ -985,8 +1074,8 @@ fn parse_error(body: &str) -> Result<WireError, WireError> {
 
 /// Parses a frame body (the inverse of [`encode_frame`]).
 pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
-    let tag = body.split_whitespace().next().unwrap_or("");
-    match tag {
+    let mut t = Tokens::new(body);
+    match t.peek().unwrap_or("") {
         "error" => return parse_error(body).map(Frame::Error),
         "shard-result" => {
             let json = body
@@ -998,7 +1087,6 @@ pub fn decode_frame(body: &str) -> Result<Frame, WireError> {
         }
         _ => {}
     }
-    let mut t = Tokens::new(body);
     let tag = t.next("frame tag")?;
     let frame = match tag {
         "hello" => {
@@ -1159,17 +1247,24 @@ fn write_frames(w: &mut impl Write, frames: &[Frame]) -> Result<(), WireError> {
     // would cost its own syscall (and, with TCP_NODELAY, its own packet).
     let mut wire = Vec::new();
     for frame in frames {
-        let body = encode_frame(frame);
-        if body.len() > MAX_FRAME {
-            return Err(WireError::BadFrame {
-                reason: format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
-            });
-        }
-        wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        wire.extend_from_slice(body.as_bytes());
+        push_frame(&mut wire, frame)?;
     }
     w.write_all(&wire)?;
     w.flush()?;
+    Ok(())
+}
+
+/// Appends `frame`, length prefix first, to `wire` — or, when its body
+/// exceeds the size cap, appends nothing and returns the typed refusal.
+fn push_frame(wire: &mut Vec<u8>, frame: &Frame) -> Result<(), WireError> {
+    let body = encode_frame(frame);
+    if body.len() > MAX_FRAME {
+        return Err(WireError::BadFrame {
+            reason: format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
+        });
+    }
+    wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    wire.extend_from_slice(body.as_bytes());
     Ok(())
 }
 
@@ -1184,19 +1279,37 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
 /// cost unit the reactor's [`ReactorOptions::queue_bytes`] bound accounts
 /// in, so backpressure tracks actual memory held, not frame counts.
 pub fn read_frame_sized(r: &mut impl Read) -> Result<(Frame, usize), WireError> {
+    read_frame_capped(r, MAX_FRAME)
+}
+
+/// [`read_frame_sized`] refusing any frame whose length prefix exceeds
+/// `cap`, with [`WireError::BadFrame`] and without reading its body. The
+/// body is read through `Read::take` into a buffer that starts at most
+/// [`BODY_CHUNK`] bytes and grows as bytes arrive, so a claimed length
+/// reserves no more than that before the peer sends the bytes.
+fn read_frame_capped(r: &mut impl Read, cap: usize) -> Result<(Frame, usize), WireError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > MAX_FRAME {
+    if len > cap {
         return Err(WireError::BadFrame {
-            reason: format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+            reason: format!("frame of {len} bytes exceeds the {cap}-byte cap"),
         });
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(BODY_CHUNK));
+    Read::take(&mut *r, len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     let text = std::str::from_utf8(&body)
         .map_err(|_| WireError::BadFrame { reason: "frame body is not UTF-8".into() })?;
     decode_frame(text).map(|frame| (frame, len))
+}
+
+/// The body of the next frame, when it is complete in `buffered`.
+fn buffered_body(buffered: &[u8]) -> Option<&[u8]> {
+    let (prefix, rest) = buffered.split_first_chunk::<4>()?;
+    rest.get(..u32::from_be_bytes(*prefix) as usize)
 }
 
 /// The next frame, when it is already complete in `r`'s buffer: decoded
@@ -1204,10 +1317,9 @@ pub fn read_frame_sized(r: &mut impl Read) -> Result<(Frame, usize), WireError> 
 /// one that fails to decode, stays buffered for [`read_frame_sized`] to
 /// read (and reject) as usual.
 fn read_buffered_frame<R: Read>(r: &mut std::io::BufReader<R>) -> Option<(Frame, usize)> {
-    let (prefix, rest) = r.buffer().split_first_chunk::<4>()?;
-    let len = u32::from_be_bytes(*prefix) as usize;
-    let body = std::str::from_utf8(rest.get(..len)?).ok()?;
-    let frame = decode_frame(body).ok()?;
+    let body = buffered_body(r.buffer())?;
+    let frame = decode_frame(std::str::from_utf8(body).ok()?).ok()?;
+    let len = body.len();
     std::io::BufRead::consume(r, 4 + len);
     Some((frame, len))
 }
@@ -1321,12 +1433,20 @@ pub type MaskedHelloOk = (usize, u64, Option<(usize, usize)>);
 /// Each method is one request/reply exchange; an `error` reply surfaces as
 /// the typed [`WireError`] (ingestion rejections as
 /// [`WireError::Rejected`] with the original [`DapError`]).
+///
+/// Outbound frames are coalesced: [`WireClient::send_frame`] queues a
+/// frame, and [`WireClient::recv_reply`] writes everything queued with
+/// one `write_all` when it is about to block on the socket. A pipelined
+/// window therefore leaves the client as one write, which a reactor
+/// daemon reads, queues and acks as one run.
 #[derive(Debug)]
 pub struct WireClient {
     stream: TcpStream,
     /// Buffered read half over a clone of `stream` (replies otherwise cost
     /// two read syscalls each: length prefix, body).
     reader: std::io::BufReader<TcpStream>,
+    /// Length-prefixed frames sent but not yet written to `stream`.
+    outbound: Vec<u8>,
     /// Auth token presented in every `hello` ([`WireClient::set_auth`]);
     /// `None` omits the section for servers that require no token.
     auth: Option<u64>,
@@ -1335,7 +1455,7 @@ pub struct WireClient {
 impl WireClient {
     fn over(stream: TcpStream) -> std::io::Result<WireClient> {
         let reader = std::io::BufReader::with_capacity(8 * 1024, stream.try_clone()?);
-        Ok(WireClient { stream, reader, auth: None })
+        Ok(WireClient { stream, reader, outbound: Vec::new(), auth: None })
     }
 
     /// Connects to a daemon.
@@ -1420,26 +1540,45 @@ impl WireClient {
         Err(last.expect("at least one attempt"))
     }
 
-    /// One request/reply exchange; `error` replies become `Err`.
+    /// One request/reply exchange; `error` replies become `Err`. Frames
+    /// already queued by [`WireClient::send_frame`] travel in the same
+    /// write, ahead of this one, and the reply returned is the oldest one
+    /// outstanding — with pipelined sends in flight, theirs first.
     pub fn call(&mut self, frame: &Frame) -> Result<Frame, WireError> {
         self.send_frame(frame)?;
         self.recv_reply()
     }
 
-    /// Sends one frame without waiting for its reply — the transmit half
-    /// of a pipelined (windowed) exchange. The server applies a
-    /// connection's frames in send order and replies in that order; a
-    /// reactor daemon queues the mutation frames it already holds as one
-    /// run and acks the run with one write, so pipelining amortizes
-    /// per-frame overhead without changing semantics. Collect each reply
-    /// with [`WireClient::recv_reply`].
+    /// Queues one frame without waiting for its reply — the transmit half
+    /// of a pipelined (windowed) exchange. The frame is encoded and
+    /// size-checked now (an oversize frame is [`WireError::BadFrame`] and
+    /// nothing is queued) but written by the next
+    /// [`WireClient::recv_reply`] or [`WireClient::call`] that would block,
+    /// together with every frame queued before it, so a window of sends
+    /// costs one `write`. A frame sent with no later receive on this
+    /// client is never transmitted.
+    ///
+    /// The server applies a connection's frames in send order and replies
+    /// in that order; a reactor daemon queues the mutation frames it
+    /// already holds as one run and acks the run with one write, so
+    /// pipelining amortizes per-frame overhead without changing semantics.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), WireError> {
-        write_frame(&mut self.stream, frame)
+        push_frame(&mut self.outbound, frame)
     }
 
     /// Receives the next in-order reply to a [`WireClient::send_frame`];
     /// `error` replies become `Err` exactly as in [`WireClient::call`].
+    ///
+    /// When no complete reply is buffered yet — exactly when the read
+    /// would block — the queued frames are written first, with one
+    /// `write_all`. A failed write surfaces here as the [`WireError::Io`]
+    /// or [`WireError::Timeout`] a direct write returns, and the queue is
+    /// cleared: whether any of its frames landed is for the caller's
+    /// resync (a sequenced channel's `hello`) to find out.
     pub fn recv_reply(&mut self) -> Result<Frame, WireError> {
+        if !self.outbound.is_empty() && buffered_body(self.reader.buffer()).is_none() {
+            self.stream.write_all(&std::mem::take(&mut self.outbound))?;
+        }
         match read_frame(&mut self.reader)? {
             Frame::Error(e) => Err(e),
             f => Ok(f),
@@ -2196,7 +2335,10 @@ where
     // A frame already read off the buffer that ended the previous run.
     let mut next = None;
     loop {
-        let read = next.take().map_or_else(|| read_frame_sized(&mut reader), Ok);
+        // Until the hello authenticates, a frame longer than any hello is
+        // refused before its body is read.
+        let cap = if authed { MAX_FRAME } else { PRE_AUTH_FRAME };
+        let read = next.take().map_or_else(|| read_frame_capped(&mut reader, cap), Ok);
         let (frame, cost) = match read {
             Ok(pair) => pair,
             // EOF / disconnect: the client is done with this connection.
@@ -2483,6 +2625,9 @@ where
     });
     Ok(state.session.into_inner().unwrap_or_else(|e| e.into_inner()))
 }
+
+#[cfg(test)]
+mod wire_fuzz;
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,10 @@
 //! atomic batch rejection, pull/merge of serialized parts, remote
 //! finalize — and pins that every [`DapError`] rejection crosses the wire
 //! *typed*, with its fields intact. Frames forged by an unauthenticated
-//! peer get a typed farewell, and a connection the server ends reads EOF.
+//! peer get a typed farewell, a stranger cannot claim a frame longer than
+//! a hello, and a connection the server ends reads EOF. Against a raw
+//! listener, the client's coalescing contract: sent frames leave as one
+//! write when a receive would block, in send order.
 //! The bit-exact coordinator-vs-local equivalence suite lives in
 //! `crates/bench/tests/serve.rs`.
 
@@ -551,4 +554,136 @@ fn connections_the_server_ends_read_eof_after_the_farewell() {
 
     connect(&addr).shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
+}
+
+#[test]
+fn unauthenticated_peers_cannot_claim_more_than_a_hello() {
+    // Before its hello authenticates, a connection may not make the daemon
+    // hold a body buffer: a prefix claiming the whole 64 MiB frame cap is
+    // answered at once with the typed farewell — the body is never read
+    // (it is never sent here), so a daemon waiting for it would trip the
+    // read deadline instead. Once authenticated, frames far larger than a
+    // hello land as before.
+    const TOKEN: u64 = 0x5eed_0a12;
+    let local = session(0.25, 2000, 14);
+    let digest = local.state_digest();
+    let quota0 = local.quota(0);
+    let options = ServeOptions { auth_tokens: vec![TOKEN], ..ServeOptions::default() };
+    let (addr, handle) = daemon_with(local, options);
+
+    let mut stranger = TcpStream::connect(&addr).expect("tcp connect");
+    stranger.set_read_timeout(Some(Duration::from_secs(5))).expect("read deadline");
+    stranger.write_all(&(64u32 << 20).to_be_bytes()).expect("send length prefix");
+    match read_frame(&mut stranger) {
+        Ok(Frame::Error(WireError::BadFrame { reason })) => {
+            assert!(reason.contains("exceeds the 4096-byte cap"), "{reason}")
+        }
+        other => panic!("expected the bad-frame farewell, got {other:?}"),
+    }
+    assert_eof(&mut stranger, "oversize pre-auth frame");
+
+    let mut c = connect(&addr);
+    c.set_auth(Some(TOKEN));
+    c.hello_channel(digest, 1).expect("authenticated handshake");
+    let reports: Vec<f64> = (0..quota0).map(|i| (i % 7) as f64 / 8.0 - 0.375).collect();
+    let frame = Frame::IngestBatchSeq { channel: 1, seq: 1, group: 0, reports };
+    assert!(dap_core::net::encode_frame(&frame).len() > 4096, "quota {quota0} too small");
+    assert_eq!(c.call(&frame), Ok(Frame::Ok));
+    c.shutdown().expect("shutdown");
+    let served = handle.join().expect("daemon thread");
+    assert_eq!(served.ingested(0), quota0);
+}
+
+/// A client connected to a raw listener the test answers by hand.
+fn raw_peer() -> (WireClient, TcpStream) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let client = WireClient::connect(listener.local_addr().expect("local addr")).expect("connect");
+    let (peer, _) = listener.accept().expect("accept");
+    peer.set_read_timeout(Some(Duration::from_secs(5))).expect("read deadline");
+    (client, peer)
+}
+
+/// Nothing is waiting to be read on `peer`.
+fn assert_nothing_sent(peer: &TcpStream) {
+    peer.set_nonblocking(true).expect("nonblocking");
+    let mut byte = [0u8; 1];
+    match (&*peer).read(&mut byte) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("expected nothing on the wire, got {other:?}"),
+    }
+    peer.set_nonblocking(false).expect("blocking");
+}
+
+/// Runs a peer that reads `expect` in order, then answers each with a
+/// distinct `status-ok` (digest = its index) in one write. The peer
+/// answers nothing before it holds every frame, so a client that wrote
+/// fewer blocks until the peer's read deadline fails it.
+fn answer_after_all(peer: TcpStream, expect: Vec<Frame>) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut reader = BufReader::new(peer.try_clone().expect("clone"));
+        for (i, want) in expect.iter().enumerate() {
+            assert_eq!(&read_frame(&mut reader).expect("a sent frame"), want, "frame {i}");
+        }
+        let mut wire = Vec::new();
+        for i in 0..expect.len() {
+            let reply =
+                Frame::StatusOk { digest: i as u64, groups: 0, ingested: 0, counters: None };
+            dap_core::net::write_frame(&mut wire, &reply).expect("encodes");
+        }
+        (&peer).write_all(&wire).expect("replies");
+    })
+}
+
+fn reply_index(reply: Result<Frame, WireError>) -> u64 {
+    match reply {
+        Ok(Frame::StatusOk { digest, .. }) => digest,
+        other => panic!("expected a status-ok reply, got {other:?}"),
+    }
+}
+
+fn batch(seq: u64) -> Frame {
+    Frame::IngestBatchSeq { channel: 9, seq, group: 0, reports: vec![seq as f64 / 8.0] }
+}
+
+#[test]
+fn sent_frames_leave_as_one_write_when_a_receive_would_block() {
+    let (mut c, peer) = raw_peer();
+    let frames: Vec<Frame> = (1..=5).map(batch).collect();
+    for frame in &frames {
+        c.send_frame(frame).expect("queued");
+    }
+    assert_nothing_sent(&peer);
+    let answering = answer_after_all(peer, frames);
+    for i in 0..5 {
+        assert_eq!(reply_index(c.recv_reply()), i, "replies in send order");
+    }
+    answering.join().expect("peer saw every frame in order");
+}
+
+#[test]
+fn call_after_pipelined_sends_keeps_send_order() {
+    let (mut c, peer) = raw_peer();
+    c.send_frame(&batch(1)).expect("queued");
+    c.send_frame(&batch(2)).expect("queued");
+    let answering = answer_after_all(peer, vec![batch(1), batch(2), Frame::Status]);
+    assert_eq!(reply_index(c.call(&Frame::Status)), 0, "call returns the oldest reply");
+    assert_eq!(reply_index(c.recv_reply()), 1);
+    assert_eq!(reply_index(c.recv_reply()), 2);
+    answering.join().expect("peer saw every frame in order");
+}
+
+#[test]
+fn an_oversize_frame_fails_at_send_and_queues_nothing() {
+    let (mut c, peer) = raw_peer();
+    let oversize = Frame::ShardResult { json: "x".repeat(64 << 20) };
+    match c.send_frame(&oversize) {
+        Err(WireError::BadFrame { reason }) => assert!(reason.contains("cap"), "{reason}"),
+        other => panic!("expected the size-cap refusal, got {other:?}"),
+    }
+    drop(oversize);
+    assert_nothing_sent(&peer);
+    let answering = answer_after_all(peer.try_clone().expect("clone"), vec![Frame::Status]);
+    assert_eq!(reply_index(c.call(&Frame::Status)), 0);
+    answering.join().expect("peer saw only the status frame");
+    assert_nothing_sent(&peer);
 }
