@@ -369,7 +369,8 @@ fn e_step_structured(
         axpy(&mut ws.den[start..start + deltas.len()], deltas, xv);
     }
 
-    let (ll, w_total, py_total) = likelihood_pass(counts, &ws.den, &ws.y, &mut ws.w, &mut ws.py);
+    let (ll, w_total, py_total) =
+        likelihood_pass(counts, &mut ws.den, &ws.y, &mut ws.w, &mut ws.py);
 
     for (k, pxk) in ws.px.iter_mut().enumerate() {
         let (start, deltas) = s.band(k);
@@ -381,36 +382,52 @@ fn e_step_structured(
 
 /// The per-row likelihood/responsibility pass of the structured E-step:
 /// `den_i ← max(den_i + y_i, floor)`, `w_i = c_i/den_i`, `py_i = y_i·w_i`,
-/// returning `(Σ c_i·ln den_i, Σ w_i, Σ py_i)`.
+/// returning `(Σ c_i·ln den_i, Σ w_i, Σ py_i)`. Rows with `c_i ≤ 0` get
+/// `w_i = py_i = 0` and add nothing.
+///
+/// Two loops, so the row work vectorizes: running sums carried from row
+/// to row would keep the divisions and `fast_ln` scalar. The first loop is
+/// element-wise. It writes `w_i`, `py_i` and the log-likelihood term
+/// `c_i·ln den_i` (into `den`, which is dead after the pass), selecting
+/// zeros for empty rows instead of branching. The second adds the three
+/// sums in row order. Each sum adds the same terms in the same order as
+/// one fused loop that skips empty rows. An empty row adds `+0.0`, which
+/// changes no bit: a sum that starts at `+0.0` is never `-0.0`, since only
+/// `-0.0 + -0.0` rounds to `-0.0`. The fused loop stays as a test-only
+/// reference (`reference::likelihood_pass`) that checks this.
+#[inline(always)]
 fn likelihood_pass(
     counts: &[f64],
-    den: &[f64],
+    den: &mut [f64],
     y: &[f64],
     w: &mut [f64],
     py: &mut [f64],
 ) -> (f64, f64, f64) {
+    let rows = counts
+        .iter()
+        .zip(den.iter_mut())
+        .zip(y.iter())
+        .zip(w.iter_mut().zip(py.iter_mut()));
+    for (((&c, den_i), &yi), (wi, pyi)) in rows {
+        let den = (*den_i + yi).max(DENSITY_FLOOR);
+        let w = c / den;
+        let term = c * fast_ln(den);
+        // All ones for a live row, zero for an empty one: ANDing a value's
+        // bits with it yields the value or `+0.0`. Three `if`s would do the
+        // same, but SSE2 has no blend, and LLVM then keeps the loop scalar.
+        let live = u64::from(c > 0.0).wrapping_neg();
+        *wi = f64::from_bits(w.to_bits() & live);
+        *pyi = f64::from_bits((yi * w).to_bits() & live);
+        *den_i = f64::from_bits(term.to_bits() & live);
+    }
+
     let mut ll = 0.0;
     let mut w_total = 0.0;
     let mut py_total = 0.0;
-    let rows = counts
-        .iter()
-        .zip(den.iter())
-        .zip(y.iter())
-        .zip(w.iter_mut().zip(py.iter_mut()));
-    for (((&c, &den_i), &yi), (wi_slot, pyi_slot)) in rows {
-        let den = (den_i + yi).max(DENSITY_FLOOR);
-        if c > 0.0 {
-            ll += c * fast_ln(den);
-            let wi = c / den;
-            *wi_slot = wi;
-            w_total += wi;
-            let pyi = yi * wi;
-            *pyi_slot = pyi;
-            py_total += pyi;
-        } else {
-            *wi_slot = 0.0;
-            *pyi_slot = 0.0;
-        }
+    for ((&term, &wi), &pyi) in den.iter().zip(w.iter()).zip(py.iter()) {
+        ll += term;
+        w_total += wi;
+        py_total += pyi;
     }
     (ll, w_total, py_total)
 }
@@ -484,11 +501,105 @@ pub mod kernels {
     }
 }
 
+/// The fused single-loop likelihood pass that [`likelihood_pass`] split in
+/// two, kept as the yardstick the split must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{fast_ln, DENSITY_FLOOR};
+
+    pub(super) fn likelihood_pass(
+        counts: &[f64],
+        den: &[f64],
+        y: &[f64],
+        w: &mut [f64],
+        py: &mut [f64],
+    ) -> (f64, f64, f64) {
+        let mut ll = 0.0;
+        let mut w_total = 0.0;
+        let mut py_total = 0.0;
+        let rows = counts
+            .iter()
+            .zip(den.iter())
+            .zip(y.iter())
+            .zip(w.iter_mut().zip(py.iter_mut()));
+        for (((&c, &den_i), &yi), (wi_slot, pyi_slot)) in rows {
+            let den = (den_i + yi).max(DENSITY_FLOOR);
+            if c > 0.0 {
+                ll += c * fast_ln(den);
+                let wi = c / den;
+                *wi_slot = wi;
+                w_total += wi;
+                let pyi = yi * wi;
+                *pyi_slot = pyi;
+                py_total += pyi;
+            } else {
+                *wi_slot = 0.0;
+                *pyi_slot = 0.0;
+            }
+        }
+        (ll, w_total, py_total)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transform::PoisonRegion;
     use dap_ldp::PiecewiseMechanism;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A row of the likelihood pass from the shapes that stress it: empty
+    /// and huge counts, densities at (or floored to) `DENSITY_FLOOR`, and
+    /// rows with no poison mass.
+    fn pass_row(rng: &mut StdRng) -> (f64, f64, f64) {
+        let c = match rng.gen_range(0..6u32) {
+            0 => 0.0,
+            1 => rng.gen_range(1e12..1e300),
+            2 => rng.gen_range(0.0..1.0),
+            _ => rng.gen_range(1..2000u32) as f64,
+        };
+        let den = match rng.gen_range(0..6u32) {
+            0 => DENSITY_FLOOR,
+            1 => 0.0,
+            2 => rng.gen_range(0.0..DENSITY_FLOOR),
+            _ => rng.gen_range(1e-6..1.0),
+        };
+        let y = if rng.gen_bool(0.4) { 0.0 } else { rng.gen_range(0.0..0.5) };
+        (c, den, y)
+    }
+
+    proptest! {
+        /// The split likelihood pass returns the fused loop's bits: the
+        /// three sums and every `w_i` and `py_i`.
+        #[test]
+        fn split_likelihood_pass_matches_fused_loop(seed in 0u64..u64::MAX, rows in 0usize..300) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut counts, mut den, mut y) = (Vec::new(), Vec::new(), Vec::new());
+            for _ in 0..rows {
+                let (c, d, yi) = pass_row(&mut rng);
+                counts.push(c);
+                den.push(d);
+                y.push(yi);
+            }
+            let (mut w_ref, mut py_ref) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
+            let want = reference::likelihood_pass(&counts, &den, &y, &mut w_ref, &mut py_ref);
+            let (mut w, mut py) = (vec![f64::NAN; rows], vec![f64::NAN; rows]);
+            let got = likelihood_pass(&counts, &mut den, &y, &mut w, &mut py);
+            prop_assert_eq!(
+                [got.0.to_bits(), got.1.to_bits(), got.2.to_bits()],
+                [want.0.to_bits(), want.1.to_bits(), want.2.to_bits()],
+                "(ll, Σw, Σpy): {:?} vs {:?}", got, want
+            );
+            prop_assert_eq!(bits(&w), bits(&w_ref));
+            prop_assert_eq!(bits(&py), bits(&py_ref));
+        }
+    }
 
     fn pm_matrix(eps: f64, d_in: usize, d_out: usize) -> TransformMatrix {
         let mech = PiecewiseMechanism::with_epsilon(eps).unwrap();
