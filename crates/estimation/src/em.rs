@@ -20,6 +20,12 @@
 //! path agrees with it to ≤ 1e-12 per iteration (see the
 //! `structured_equivalence` integration suite).
 //!
+//! The EM loop has one source, compiled twice: once for the default target
+//! and once with AVX2 enabled. Each solve takes the AVX2 instance when the
+//! CPU has it. Both instances return the same bits, so results do not
+//! depend on the host (the unit tests check this on random problems). The
+//! dense reference always runs the portable instance.
+//!
 //! Scratch buffers live in an [`EmWorkspace`] so repeated solves (one per
 //! group per trial in the protocol) allocate nothing but their outcome.
 
@@ -189,12 +195,19 @@ pub fn solve_with_init_in(
     opts: &EmOptions,
     ws: &mut EmWorkspace,
 ) -> EmOutcome {
-    run_em(matrix, counts, mstep, x_init, y_init, opts, ws, matrix.structure())
+    let structure = matrix.structure();
+    #[cfg(target_arch = "x86_64")]
+    if let Some(outcome) = run_em_avx2(matrix, counts, mstep, x_init, y_init, opts, ws, structure) {
+        return outcome;
+    }
+    run_em_portable(matrix, counts, mstep, x_init, y_init, opts, ws, structure)
 }
 
 /// The historical dense row-by-row solver, kept as the reference the
 /// structured fast path is validated against (it never consults the
-/// matrix's analyzed structure).
+/// matrix's analyzed structure). It always runs the portable instance, so
+/// its time is a yardstick that does not depend on the CPU's vector
+/// extensions.
 pub fn solve_dense_reference(
     matrix: &TransformMatrix,
     counts: &[f64],
@@ -203,9 +216,67 @@ pub fn solve_dense_reference(
     y_init: &[f64],
     opts: &EmOptions,
 ) -> EmOutcome {
-    run_em(matrix, counts, mstep, x_init, y_init, opts, &mut EmWorkspace::new(), None)
+    run_em_portable(matrix, counts, mstep, x_init, y_init, opts, &mut EmWorkspace::new(), None)
 }
 
+/// [`run_em`] compiled for the default target.
+#[allow(clippy::too_many_arguments)]
+fn run_em_portable(
+    matrix: &TransformMatrix,
+    counts: &[f64],
+    mstep: MStep,
+    x_init: &[f64],
+    y_init: &[f64],
+    opts: &EmOptions,
+    ws: &mut EmWorkspace,
+    structure: Option<&StructuredColumns>,
+) -> EmOutcome {
+    run_em(matrix, counts, mstep, x_init, y_init, opts, ws, structure)
+}
+
+/// [`run_em`] compiled with AVX2 enabled, so the element-wise loops run
+/// four lanes wide; `None` where the CPU lacks AVX2. Its outcome is
+/// bit-identical to [`run_em_portable`]'s: no reduction is reordered
+/// (`dot` fixes its four-accumulator order, and every other sum runs in
+/// index order), and Rust never contracts `a*b + c` into an FMA.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn run_em_avx2(
+    matrix: &TransformMatrix,
+    counts: &[f64],
+    mstep: MStep,
+    x_init: &[f64],
+    y_init: &[f64],
+    opts: &EmOptions,
+    ws: &mut EmWorkspace,
+    structure: Option<&StructuredColumns>,
+) -> Option<EmOutcome> {
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    fn instance(
+        matrix: &TransformMatrix,
+        counts: &[f64],
+        mstep: MStep,
+        x_init: &[f64],
+        y_init: &[f64],
+        opts: &EmOptions,
+        ws: &mut EmWorkspace,
+        structure: Option<&StructuredColumns>,
+    ) -> EmOutcome {
+        run_em(matrix, counts, mstep, x_init, y_init, opts, ws, structure)
+    }
+
+    if !std::arch::is_x86_feature_detected!("avx2") {
+        return None;
+    }
+    // SAFETY: `instance` is safe apart from its `target_feature`, whose one
+    // requirement, a CPU with AVX2, was checked just above.
+    Some(unsafe { instance(matrix, counts, mstep, x_init, y_init, opts, ws, structure) })
+}
+
+/// The EM loop. Always inlined, so that each instance above compiles this
+/// one body, E-steps and kernels included, for its own instruction set.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn run_em(
     matrix: &TransformMatrix,
@@ -321,6 +392,7 @@ pub(crate) fn e_step(
 
 /// Dense E-step: `den_i = Σ_k M[i][k]·x_k + y_i`, responsibilities
 /// accumulated row by row. Returns `(log-likelihood, Σ py)`.
+#[inline(always)]
 fn e_step_dense(matrix: &TransformMatrix, counts: &[f64], ws: &mut EmWorkspace) -> (f64, f64) {
     ws.px.iter_mut().for_each(|v| *v = 0.0);
     ws.py.iter_mut().for_each(|v| *v = 0.0);
@@ -357,6 +429,7 @@ fn e_step_dense(matrix: &TransformMatrix, counts: &[f64], ws: &mut EmWorkspace) 
 ///
 /// Both band sweeps are contiguous slice kernels (`axpy` scatter, `dot`
 /// gather), which is what makes this path vectorize.
+#[inline(always)]
 fn e_step_structured(
     s: &StructuredColumns,
     counts: &[f64],
@@ -440,7 +513,7 @@ fn likelihood_pass(
 /// `x = m·2^e` with `m ∈ [√½, √2)`; `ln m = 2·artanh(t)` for
 /// `t = (m−1)/(m+1)`, `|t| ≤ 0.1716`, via the odd series through `t¹⁷`
 /// (next term < 3e-16 relative).
-#[inline]
+#[inline(always)]
 fn fast_ln(x: f64) -> f64 {
     debug_assert!(x > 0.0 && x.is_finite() && x >= f64::MIN_POSITIVE);
     let bits = x.to_bits();
@@ -473,7 +546,7 @@ fn fast_ln(x: f64) -> f64 {
 /// element-independent, so the autovectorizer handles it.
 pub mod kernels {
     /// `out[i] += a·v[i]` over equal-length slices.
-    #[inline]
+    #[inline(always)]
     pub fn axpy(out: &mut [f64], v: &[f64], a: f64) {
         for (o, &x) in out.iter_mut().zip(v) {
             *o += a * x;
@@ -482,7 +555,7 @@ pub mod kernels {
 
     /// Four-accumulator dot product — a fixed summation order the compiler
     /// can keep in SIMD lanes.
-    #[inline]
+    #[inline(always)]
     pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         debug_assert_eq!(a.len(), b.len());
         let mut acc = [0.0f64; 4];
@@ -545,7 +618,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::transform::PoisonRegion;
-    use dap_ldp::PiecewiseMechanism;
+    use dap_ldp::{Duchi, Epsilon, KRandomizedResponse, PiecewiseMechanism, SquareWave};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -598,6 +671,89 @@ mod tests {
             );
             prop_assert_eq!(bits(&w), bits(&w_ref));
             prop_assert_eq!(bits(&py), bits(&py_ref));
+        }
+    }
+
+    /// A random EM problem on a PM, SW, Duchi or k-RR matrix: counts with
+    /// empty and huge buckets, a start with some poison buckets suppressed,
+    /// and either M-step.
+    fn random_problem(rng: &mut StdRng) -> (TransformMatrix, Vec<f64>, Vec<f64>, Vec<f64>, MStep) {
+        let eps = rng.gen_range(0.0625..4.0);
+        let d_in = rng.gen_range(2..24usize);
+        let d_out = rng.gen_range(4..160usize);
+        let region = match rng.gen_range(0..4u32) {
+            0 => PoisonRegion::None,
+            1 => PoisonRegion::RightOf(0.0),
+            2 => PoisonRegion::LeftOf(rng.gen_range(-0.5..0.5)),
+            _ => PoisonRegion::Buckets((0..d_out).filter(|_| rng.gen_bool(0.3)).collect()),
+        };
+        let matrix = match rng.gen_range(0..4u32) {
+            0 => TransformMatrix::for_numeric(
+                &PiecewiseMechanism::with_epsilon(eps).unwrap(),
+                d_in,
+                d_out,
+                &region,
+            ),
+            1 => TransformMatrix::for_numeric(
+                &SquareWave::with_epsilon(eps).unwrap(),
+                d_in,
+                d_out,
+                &region,
+            ),
+            2 => TransformMatrix::for_numeric(&Duchi::with_epsilon(eps).unwrap(), d_in, d_out, &region),
+            _ => {
+                let k = rng.gen_range(2..40usize);
+                let krr = KRandomizedResponse::new(Epsilon::new(eps).unwrap(), k).unwrap();
+                let poison: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.3)).collect();
+                TransformMatrix::for_categorical(&krr, &poison)
+            }
+        };
+        let counts = (0..matrix.d_out())
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => rng.gen_range(1e6..1e12f64).floor(),
+                _ => rng.gen_range(0..500u32) as f64,
+            })
+            .collect();
+        let share = 1.0 / (matrix.d_in() + matrix.poison_buckets().len()) as f64;
+        let x0 = vec![share; matrix.d_in()];
+        let mut y0 = vec![0.0; matrix.d_out()];
+        for &j in matrix.poison_buckets() {
+            y0[j] = if rng.gen_bool(0.8) { share } else { 0.0 };
+        }
+        let mstep = if rng.gen_bool(0.5) {
+            MStep::Free
+        } else {
+            MStep::Constrained { gamma: rng.gen_range(0.0..0.6) }
+        };
+        (matrix, counts, x0, y0, mstep)
+    }
+
+    fn outcome_bits(o: &EmOutcome) -> (Vec<u64>, Vec<u64>, usize, bool, u64) {
+        (bits(&o.normal), bits(&o.poison), o.iterations, o.converged, o.log_likelihood.to_bits())
+    }
+
+    proptest! {
+        /// The portable and AVX2 instances of the EM loop return the same
+        /// bits in every outcome field, at fixed caps and under the paper's
+        /// stopping rule. The AVX2 arm runs wherever the CPU has AVX2.
+        #[test]
+        fn em_instances_agree_bit_for_bit(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (m, counts, x0, y0, mstep) = random_problem(&mut rng);
+            let caps = [1, 7, 60].map(|max_iters| EmOptions { tol: 0.0, max_iters });
+            let paper = EmOptions::paper_default(rng.gen_range(0.0625..4.0));
+            for opts in caps.iter().chain([&paper]) {
+                let mut ws = EmWorkspace::new();
+                let s = m.structure();
+                let portable = run_em_portable(&m, &counts, mstep, &x0, &y0, opts, &mut ws, s);
+                let public = solve_with_init(&m, &counts, mstep, &x0, &y0, opts);
+                prop_assert_eq!(outcome_bits(&public), outcome_bits(&portable));
+                #[cfg(target_arch = "x86_64")]
+                if let Some(avx2) = run_em_avx2(&m, &counts, mstep, &x0, &y0, opts, &mut ws, s) {
+                    prop_assert_eq!(outcome_bits(&avx2), outcome_bits(&portable));
+                }
+            }
         }
     }
 
