@@ -11,11 +11,14 @@
 //!
 //! Thread count resolution: [`set_thread_override`] (used by determinism
 //! tests and benchmarks) beats the `DAP_THREADS` environment variable,
-//! which beats [`std::thread::available_parallelism`]. With one thread the
-//! map degenerates to an inline loop — no spawn, no synchronization.
+//! which beats [`std::thread::available_parallelism`]. The core count is
+//! detected once per process and cached: detection reads cgroup and
+//! affinity state, and every [`parallel_map`] would otherwise pay for it.
+//! With one thread the map degenerates to an inline loop — no spawn, no
+//! synchronization.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// `0` means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -41,7 +44,8 @@ pub fn effective_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Maps `f` over `items` on up to [`effective_threads`] scoped threads,
