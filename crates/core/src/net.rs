@@ -545,15 +545,13 @@ fn push_outputs(s: &mut String, outputs: &[DapOutput]) {
 /// use [`write_frame`] to put frames on a stream.
 pub fn encode_frame(frame: &Frame) -> String {
     use std::fmt::Write as _;
-    // A batch body is its header plus 19 bytes (a hex token and a
-    // separator) per element; sizing for it up front saves the regrowths.
-    let mut s = String::with_capacity(match frame {
-        Frame::IngestBatch { reports, .. } | Frame::IngestBatchSeq { reports, .. } => {
-            64 + 19 * reports.len()
+    // Batch bodies reserve their own room (see `reserve_batch`).
+    let mut s = match frame {
+        Frame::IngestBatch { .. } | Frame::IngestBatchSeq { .. } | Frame::ShareBatch { .. } => {
+            String::new()
         }
-        Frame::ShareBatch { counts, .. } => 64 + 19 * counts.len(),
-        _ => 64,
-    });
+        _ => String::with_capacity(64),
+    };
     match frame {
         Frame::Hello { version, digest, channel, auth, commit } => {
             let _ = write!(s, "hello {version} {}", hex_u64(*digest));
@@ -581,36 +579,12 @@ pub fn encode_frame(frame: &Frame) -> String {
         Frame::Ingest { group, report } => {
             let _ = write!(s, "ingest {group} {}", f64_to_hex(*report));
         }
-        Frame::IngestBatch { group, reports } => {
-            let _ = writeln!(s, "ingest-batch {group} {}", reports.len());
-            for (i, r) in reports.iter().enumerate() {
-                if i > 0 {
-                    s.push(' ');
-                }
-                codec::push_hex_f64(&mut s, *r);
-            }
-        }
+        Frame::IngestBatch { group, reports } => push_ingest_batch(&mut s, *group, reports),
         Frame::IngestBatchSeq { channel, seq, group, reports } => {
-            s.push_str("seq-batch ");
-            codec::push_hex_u64(&mut s, *channel);
-            let _ = writeln!(s, " {seq} {group} {}", reports.len());
-            for (i, r) in reports.iter().enumerate() {
-                if i > 0 {
-                    s.push(' ');
-                }
-                codec::push_hex_f64(&mut s, *r);
-            }
+            push_seq_batch(&mut s, *channel, *seq, *group, reports)
         }
         Frame::ShareBatch { channel, seq, group, counts } => {
-            s.push_str("share-batch ");
-            codec::push_hex_u64(&mut s, *channel);
-            let _ = writeln!(s, " {seq} {group} {}", counts.len());
-            for (i, &w) in counts.iter().enumerate() {
-                if i > 0 {
-                    s.push(' ');
-                }
-                codec::push_hex_u64(&mut s, w);
-            }
+            push_share_batch(&mut s, *channel, *seq, *group, counts)
         }
         Frame::MaskedPull => s.push_str("masked-pull"),
         Frame::MaskedPart { part } => {
@@ -686,6 +660,65 @@ pub fn encode_frame(frame: &Frame) -> String {
         Frame::Error(e) => encode_error(&mut s, e),
     }
     s
+}
+
+/// Appends an `ingest-batch` body. [`encode_frame`] writes the owned frame
+/// with it, and the journal writes a borrowed batch with it, so a batch has
+/// one writer and its journal record needs no owned copy of the reports.
+/// The same holds for [`push_seq_batch`] and [`push_share_batch`].
+pub(crate) fn push_ingest_batch(s: &mut String, group: usize, reports: &[f64]) {
+    use std::fmt::Write as _;
+    reserve_batch(s, reports.len());
+    let _ = writeln!(s, "ingest-batch {group} {}", reports.len());
+    push_words(s, reports.iter().map(|r| r.to_bits()));
+}
+
+/// Appends a `seq-batch` body (see [`push_ingest_batch`]).
+pub(crate) fn push_seq_batch(
+    s: &mut String,
+    channel: u64,
+    seq: u64,
+    group: usize,
+    reports: &[f64],
+) {
+    use std::fmt::Write as _;
+    reserve_batch(s, reports.len());
+    s.push_str("seq-batch ");
+    codec::push_hex_u64(s, channel);
+    let _ = writeln!(s, " {seq} {group} {}", reports.len());
+    push_words(s, reports.iter().map(|r| r.to_bits()));
+}
+
+/// Appends a `share-batch` body (see [`push_ingest_batch`]).
+pub(crate) fn push_share_batch(
+    s: &mut String,
+    channel: u64,
+    seq: u64,
+    group: usize,
+    counts: &[u64],
+) {
+    use std::fmt::Write as _;
+    reserve_batch(s, counts.len());
+    s.push_str("share-batch ");
+    codec::push_hex_u64(s, channel);
+    let _ = writeln!(s, " {seq} {group} {}", counts.len());
+    push_words(s, counts.iter().copied());
+}
+
+/// A batch body is its header plus 19 bytes (a hex token and a separator)
+/// per element; reserving that up front saves the regrowths.
+fn reserve_batch(s: &mut String, len: usize) {
+    s.reserve(64 + 19 * len);
+}
+
+/// Space-separated hex tokens, one per word.
+fn push_words(s: &mut String, words: impl Iterator<Item = u64>) {
+    for (i, w) in words.enumerate() {
+        if i > 0 {
+            s.push(' ');
+        }
+        codec::push_hex_u64(s, w);
+    }
 }
 
 fn encode_error(s: &mut String, e: &WireError) {

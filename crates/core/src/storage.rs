@@ -47,7 +47,10 @@
 
 use crate::codec::{self, Fnv};
 use crate::error::DapError;
-use crate::net::{decode_frame, encode_frame, Frame, StatusCounters, WireSession};
+use crate::net::{
+    decode_frame, encode_frame, push_ingest_batch, push_seq_batch, push_share_batch, Frame,
+    StatusCounters, WireSession,
+};
 use crate::protocol::DapOutput;
 use crate::scheme::Scheme;
 use crate::secagg::{MaskedPart, SecaggRole};
@@ -890,8 +893,10 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
         Ok((durable, recovery))
     }
 
-    fn append_record(&mut self, frame: &Frame) -> Result<(), DapError> {
-        self.journal.append(encode_frame(frame).as_bytes())?;
+    /// Appends one record: a frame body. Batches write theirs straight
+    /// from the borrowed slice, with the writer [`encode_frame`] uses.
+    fn append_record(&mut self, record: &str) -> Result<(), DapError> {
+        self.journal.append(record.as_bytes())?;
         self.records_appended += 1;
         Ok(())
     }
@@ -899,7 +904,7 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
     /// Write-ahead [`DapSession::ingest`].
     pub fn ingest(&mut self, group: usize, report: f64) -> Result<(), DapError> {
         self.session.check_ingest_batch(group, &[report])?;
-        self.append_record(&Frame::Ingest { group, report })?;
+        self.append_record(&encode_frame(&Frame::Ingest { group, report }))?;
         self.session.ingest(group, report)?;
         self.maybe_checkpoint()
     }
@@ -907,7 +912,9 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
     /// Write-ahead [`DapSession::ingest_batch`].
     pub fn ingest_batch(&mut self, group: usize, reports: &[f64]) -> Result<(), DapError> {
         self.session.check_ingest_batch(group, reports)?;
-        self.append_record(&Frame::IngestBatch { group, reports: reports.to_vec() })?;
+        let mut record = String::new();
+        push_ingest_batch(&mut record, group, reports);
+        self.append_record(&record)?;
         self.session.ingest_batch(group, reports)?;
         self.maybe_checkpoint()
     }
@@ -926,12 +933,9 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
         reports: &[f64],
     ) -> Result<(), DapError> {
         self.session.check_ingest_batch_seq(channel, seq, group, reports)?;
-        self.append_record(&Frame::IngestBatchSeq {
-            channel,
-            seq,
-            group,
-            reports: reports.to_vec(),
-        })?;
+        let mut record = String::new();
+        push_seq_batch(&mut record, channel, seq, group, reports);
+        self.append_record(&record)?;
         self.session.ingest_batch_seq(channel, seq, group, reports)?;
         self.maybe_checkpoint()
     }
@@ -948,12 +952,9 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
         counts: &[u64],
     ) -> Result<(), DapError> {
         self.session.check_ingest_shares(channel, seq, group, counts)?;
-        self.append_record(&Frame::ShareBatch {
-            channel,
-            seq,
-            group,
-            counts: counts.to_vec(),
-        })?;
+        let mut record = String::new();
+        push_share_batch(&mut record, channel, seq, group, counts);
+        self.append_record(&record)?;
         self.session.ingest_shares(channel, seq, group, counts)?;
         self.maybe_checkpoint()
     }
@@ -968,7 +969,7 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
     /// Write-ahead [`DapSession::merge_part`].
     pub fn merge_part(&mut self, part: &SessionPart) -> Result<(), DapError> {
         self.session.check_part(part)?;
-        self.append_record(&Frame::Merge { part: part.clone() })?;
+        self.append_record(&encode_frame(&Frame::Merge { part: part.clone() }))?;
         self.session.merge_part(part)?;
         self.maybe_checkpoint()
     }
