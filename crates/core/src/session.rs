@@ -493,7 +493,9 @@ impl<M: NumericMechanism> DapSession<M> {
             if pg.counts.len() != state.hist.counts.len() {
                 return Err(DapError::SessionMismatch { what: "part histogram resolution" });
             }
-            if state.hist.n_reports + pg.n_reports > state.quota {
+            // A part's tally is read off the wire or a checkpoint, so any
+            // value may arrive; the sum must not wrap past the quota.
+            if state.hist.n_reports.checked_add(pg.n_reports).is_none_or(|n| n > state.quota) {
                 return Err(DapError::QuotaExceeded {
                     group: g,
                     quota: state.quota,
@@ -1017,6 +1019,13 @@ mod tests {
         let part = donor.export_part();
         base.merge_part(&part).expect("first fill fits");
         let err = base.merge_part(&part).unwrap_err();
+        assert!(matches!(err, DapError::QuotaExceeded { group: 0, .. }));
+        assert_eq!(base.ingested(0), quota, "rejected part left a trace");
+        // A forged tally that would wrap the sum past the quota is refused
+        // the same way.
+        let mut forged = part.clone();
+        forged.groups[0].n_reports = usize::MAX - quota + 1;
+        let err = base.merge_part(&forged).unwrap_err();
         assert!(matches!(err, DapError::QuotaExceeded { group: 0, .. }));
         assert_eq!(base.ingested(0), quota, "rejected part left a trace");
     }

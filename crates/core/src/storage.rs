@@ -595,6 +595,11 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointEnvelope, DapError> {
         words.next(),
     ) {
         (Some(CHECKPOINT_MAGIC), Some(Ok(epoch)), Some(Ok(covered)), Some(Ok(digest)), None) => {
+            // Compaction never writes the last epoch: the journal after it
+            // would have none to start (see `Journal::compact`).
+            if epoch == u64::MAX {
+                return Err(journal_err(0, "checkpoint epoch has no successor"));
+            }
             let payload = bytes[nl + 1..].to_vec();
             if payload_digest(&payload) != digest {
                 return Err(journal_err(0, "checkpoint payload digest mismatch"));
@@ -745,10 +750,14 @@ impl<B: StorageBackend> Journal<B> {
     /// truncates and starts the next epoch. Crash-safe: interrupted
     /// anywhere, the next [`Journal::open`] reconstructs the same state.
     pub fn compact(&mut self, checkpoint_payload: &[u8]) -> Result<(), DapError> {
+        let next = self
+            .epoch
+            .checked_add(1)
+            .ok_or_else(|| journal_err(self.len, "journal epochs are exhausted"))?;
         self.backend
             .write_checkpoint(&encode_checkpoint(self.epoch, self.records as u64, checkpoint_payload))?;
         self.backend.truncate()?;
-        self.epoch += 1;
+        self.epoch = next;
         let header = header_bytes(self.epoch);
         self.backend.append(&header)?;
         self.records = 0;
@@ -1182,6 +1191,9 @@ where
 }
 
 #[cfg(test)]
+mod open_fuzz;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::grouping::GroupPlan;
@@ -1292,6 +1304,21 @@ mod tests {
         assert_eq!(state.checkpoint.as_deref(), Some(b"STATE-ab".as_slice()));
         assert!(state.replay.is_empty());
         assert_eq!(j.epoch(), epoch, "re-initialized one past the checkpoint epoch");
+    }
+
+    #[test]
+    fn the_last_epoch_is_refused_typed() {
+        // No compaction writes a checkpoint at the last epoch, since the
+        // journal after it would have none to start.
+        let mut backend = MemoryBackend::new();
+        backend.write_checkpoint(&encode_checkpoint(u64::MAX, 0, b"state")).unwrap();
+        let err = Journal::open(backend).unwrap_err();
+        assert!(err.to_string().contains("no successor"), "{err}");
+        // A journal at the last epoch opens but cannot compact.
+        let (mut j, _) = Journal::open(MemoryBackend::with_journal(header_bytes(u64::MAX))).unwrap();
+        let err = j.compact(b"state").unwrap_err();
+        assert!(err.to_string().contains("exhausted"), "{err}");
+        assert_eq!(j.epoch(), u64::MAX);
     }
 
     #[test]
