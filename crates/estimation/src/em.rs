@@ -700,7 +700,9 @@ mod tests {
                 d_out,
                 &region,
             ),
-            2 => TransformMatrix::for_numeric(&Duchi::with_epsilon(eps).unwrap(), d_in, d_out, &region),
+            2 => {
+                TransformMatrix::for_numeric(&Duchi::with_epsilon(eps).unwrap(), d_in, d_out, &region)
+            }
             _ => {
                 let k = rng.gen_range(2..40usize);
                 let krr = KRandomizedResponse::new(Epsilon::new(eps).unwrap(), k).unwrap();
