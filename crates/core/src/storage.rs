@@ -1315,7 +1315,8 @@ mod tests {
         let err = Journal::open(backend).unwrap_err();
         assert!(err.to_string().contains("no successor"), "{err}");
         // A journal at the last epoch opens but cannot compact.
-        let (mut j, _) = Journal::open(MemoryBackend::with_journal(header_bytes(u64::MAX))).unwrap();
+        let last = MemoryBackend::with_journal(header_bytes(u64::MAX));
+        let (mut j, _) = Journal::open(last).unwrap();
         let err = j.compact(b"state").unwrap_err();
         assert!(err.to_string().contains("exhausted"), "{err}");
         assert_eq!(j.epoch(), u64::MAX);

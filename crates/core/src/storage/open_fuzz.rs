@@ -58,7 +58,8 @@ struct Shape {
 impl Shape {
     fn of(session: &DapSession<PiecewiseMechanism>) -> Shape {
         let part = session.export_part();
-        Shape { digest: part.digest, resolutions: part.groups.iter().map(|g| g.counts.len()).collect() }
+        let resolutions = part.groups.iter().map(|g| g.counts.len()).collect();
+        Shape { digest: part.digest, resolutions }
     }
 }
 
@@ -324,8 +325,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let masked = rng.gen_bool(0.5);
         let shape = Shape::of(&target(false));
-        let backend =
-            if rng.gen_bool(0.3) { raw_backend(&mut rng) } else { framed_backend(&mut rng, &shape) };
+        let backend = if rng.gen_bool(0.3) {
+            raw_backend(&mut rng)
+        } else {
+            framed_backend(&mut rng, &shape)
+        };
         let mut recovered = Vec::new();
         for salvage in [false, true] {
             let opts = DurableOptions { checkpoint_every: 0, salvage };

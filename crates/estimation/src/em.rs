@@ -618,7 +618,9 @@ mod reference {
 mod tests {
     use super::*;
     use crate::transform::PoisonRegion;
-    use dap_ldp::{Duchi, Epsilon, KRandomizedResponse, PiecewiseMechanism, SquareWave};
+    use dap_ldp::{
+        Duchi, Epsilon, KRandomizedResponse, NumericMechanism, PiecewiseMechanism, SquareWave,
+    };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -687,22 +689,13 @@ mod tests {
             2 => PoisonRegion::LeftOf(rng.gen_range(-0.5..0.5)),
             _ => PoisonRegion::Buckets((0..d_out).filter(|_| rng.gen_bool(0.3)).collect()),
         };
+        let numeric = |mech: &dyn NumericMechanism| {
+            TransformMatrix::for_numeric(mech, d_in, d_out, &region)
+        };
         let matrix = match rng.gen_range(0..4u32) {
-            0 => TransformMatrix::for_numeric(
-                &PiecewiseMechanism::with_epsilon(eps).unwrap(),
-                d_in,
-                d_out,
-                &region,
-            ),
-            1 => TransformMatrix::for_numeric(
-                &SquareWave::with_epsilon(eps).unwrap(),
-                d_in,
-                d_out,
-                &region,
-            ),
-            2 => {
-                TransformMatrix::for_numeric(&Duchi::with_epsilon(eps).unwrap(), d_in, d_out, &region)
-            }
+            0 => numeric(&PiecewiseMechanism::with_epsilon(eps).unwrap()),
+            1 => numeric(&SquareWave::with_epsilon(eps).unwrap()),
+            2 => numeric(&Duchi::with_epsilon(eps).unwrap()),
             _ => {
                 let k = rng.gen_range(2..40usize);
                 let krr = KRandomizedResponse::new(Epsilon::new(eps).unwrap(), k).unwrap();
