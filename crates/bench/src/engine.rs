@@ -26,7 +26,9 @@ use dap_core::{parallel_map, Dap, DapConfig, Population, Scheme};
 use dap_datasets::cache::{Domain, SampledPopulation};
 use dap_datasets::{covid_frequencies, sample_covid, Dataset, PopulationCache, COVID_GROUPS};
 use dap_defenses::{KMeansDefense, MeanDefense, Ostrich, Trimming};
-use dap_emf::{cemf_star, cemf_star_threshold, emf, emf_star, probe_side, ByzantineFeatures, EmfConfig};
+use dap_emf::{
+    cemf_star, cemf_star_threshold, emf, emf_star, probe_both_sides, ByzantineFeatures, EmfConfig,
+};
 use dap_estimation::stats::{mean, wasserstein_1};
 use dap_estimation::{ems, Grid, PoisonRegion};
 use dap_ldp::{Duchi, Epsilon, NumericMechanism, PiecewiseMechanism, SquareWave};
@@ -233,8 +235,8 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
             let cfg = EmfConfig::capped(reports.len(), *eps, opts.max_d_out);
             let (olo, ohi) = mech.output_range();
             let counts = Grid::new(olo, ohi, cfg.d_out).counts(&reports);
-            let probe = probe_side(&mech, &counts, cfg.d_in, 0.0, &cfg.em);
-            RepOut { estimates: vec![probe.var_left, probe.var_right], truth: 0.0 }
+            let both = probe_both_sides(&mech, &counts, cfg.d_in, 0.0, &cfg.em);
+            RepOut { estimates: vec![both.var_left, both.var_right], truth: 0.0 }
         }
 
         CellKind::GammaHat { dataset, gamma, eps, attack, .. } => {

@@ -19,7 +19,7 @@ use crate::protocol::DapConfig;
 use crate::scheme::{GroupHistogram, Scheme};
 use crate::session::EstimationMode;
 use dap_attack::Side;
-use dap_emf::{cemf_star, cemf_star_threshold, emf, EmfConfig};
+use dap_emf::{cemf_star, cemf_star_threshold, race_sides, EmfConfig};
 use dap_estimation::em::{self, EmOutcome, EmWorkspace, MStep};
 use dap_estimation::stats::histogram_mean;
 use dap_estimation::{cached_for_numeric, ems, EmOptions, Grid, PoisonRegion};
@@ -151,7 +151,8 @@ pub fn sw_group_means_hist(
 /// hypothesis absorbs the honest spill and artificially flattens `x̂`). The
 /// two band hypotheses have identical parameter counts, so the likelihood
 /// comparison is fair; a concentrated injection can only be matched by the
-/// poison block on its own side.
+/// poison block on its own side. The two fits race as in
+/// [`dap_emf::probe_side`], so the losing one stops once it is ruled out.
 pub(crate) fn probe_side_bands(
     mech: &dyn NumericMechanism,
     counts: &[f64],
@@ -163,15 +164,8 @@ pub(crate) fn probe_side_bands(
         cached_for_numeric(mech, config.d_in, counts.len(), &PoisonRegion::LeftOf(ilo));
     let right_m =
         cached_for_numeric(mech, config.d_in, counts.len(), &PoisonRegion::RightOf(ihi));
-    let left = emf(&left_m, counts, &em);
-    let right = emf(&right_m, counts, &em);
-    if left.log_likelihood > right.log_likelihood {
-        let gamma = left.poison_mass();
-        (Side::Left, gamma)
-    } else {
-        let gamma = right.poison_mass();
-        (Side::Right, gamma)
-    }
+    let probe = race_sides(&left_m, &right_m, counts, &em);
+    (probe.side, probe.chosen().poison_mass())
 }
 
 /// Configuration of the SW-based DAP deployment.

@@ -22,7 +22,7 @@ pub struct ByzantineFeatures {
     pub poison_mean: Option<f64>,
     /// Output-bucket centers `ν_j` matching `poison_hist`.
     pub output_centers: Vec<f64>,
-    /// Both-hypothesis probe detail (Table I reports its two variances).
+    /// The side probe itself: the chosen fit and the EM iterations spent.
     pub probe: SideProbe,
 }
 

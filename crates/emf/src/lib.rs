@@ -26,4 +26,4 @@ pub mod probe;
 pub use config::EmfConfig;
 pub use features::{pessimistic_init, ByzantineFeatures};
 pub use filter::{cemf_star, cemf_star_threshold, emf, emf_star, poison_mean};
-pub use probe::{probe_side, SideProbe};
+pub use probe::{probe_both_sides, probe_side, race_sides, BothSides, SideProbe};

@@ -28,6 +28,27 @@
 //!
 //! Scratch buffers live in an [`EmWorkspace`] so repeated solves (one per
 //! group per trial in the protocol) allocate nothing but their outcome.
+//!
+//! # Abandoning a fit that cannot win
+//!
+//! The log-likelihood `ℓ(z) = Σ_i c_i·ln den_i(z)` is concave in the latent
+//! histogram `z = (x̂, ŷ)`. Its gradient at the current iterate is what the
+//! structured E-step already forms on the way to `px`/`py`:
+//! `g_k = floor_k·Σw + Σ_{i ∈ band_k} Δ_k[i]·w_i` for an input bucket and
+//! `g_j = w_j` for a poison bucket, with `w_i = c_i/den_i`. Jensen's
+//! inequality on `ln` then bounds the log-likelihood of every distribution
+//! `z*`:
+//!
+//! ```text
+//! ℓ(z*) ≤ ℓ(z) + N·ln((max_k g_k + F·Σw) / N),   N = Σ_i c_i
+//! ```
+//!
+//! `F·Σw` covers the rows whose density the E-step floors at
+//! `F = DENSITY_FLOOR`: it is negligible unless some density is near `F`,
+//! and it only ever loosens the bound. [`solve_against_in`] stops a fit as
+//! soon as this bound proves it cannot reach a rival fit's log-likelihood;
+//! the side probe races its two hypotheses that way. A solve without a
+//! rival pays one `max` per input bucket and iteration for it.
 
 use crate::transform::{StructuredColumns, TransformMatrix};
 use kernels::{axpy, dot};
@@ -95,6 +116,14 @@ impl EmOutcome {
     }
 }
 
+/// A fit that [`solve_against_in`] stopped early: its likelihood bound
+/// proved it could not reach the rival log-likelihood.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Abandoned {
+    /// Iterations performed, the one whose bound fired included.
+    pub iterations: usize,
+}
+
 /// Reusable scratch buffers for [`solve_in`] / [`solve_with_init_in`].
 ///
 /// One workspace serves any problem size — buffers grow on demand and are
@@ -156,13 +185,40 @@ pub fn solve_in(
     opts: &EmOptions,
     ws: &mut EmWorkspace,
 ) -> EmOutcome {
+    let (x0, y0) = uniform_start(matrix);
+    solve_with_init_in(matrix, counts, mstep, &x0, &y0, opts, ws)
+}
+
+/// [`solve_in`] for a fit that only matters if it ends at or above `rival`,
+/// the log-likelihood of a competing fit of the same counts.
+///
+/// After each E-step the loop forms the likelihood bound of the module
+/// docs and gives up once the bound falls below `rival` by more than
+/// rounding can explain. `Err` therefore means that the full fit would have
+/// ended strictly below `rival`, and `Ok` carries exactly [`solve_in`]'s
+/// outcome. A solve on a matrix without an analyzed structure, or on counts
+/// that are not all finite and non-negative, is never abandoned.
+pub fn solve_against_in(
+    matrix: &TransformMatrix,
+    counts: &[f64],
+    mstep: MStep,
+    opts: &EmOptions,
+    rival: f64,
+    ws: &mut EmWorkspace,
+) -> Result<EmOutcome, Abandoned> {
+    let (x0, y0) = uniform_start(matrix);
+    run(matrix, counts, mstep, &x0, &y0, opts, Some(rival), ws)
+}
+
+/// Equal mass on every latent component, the start of [`solve_in`].
+fn uniform_start(matrix: &TransformMatrix) -> (Vec<f64>, Vec<f64>) {
     let share = 1.0 / (matrix.d_in() + matrix.poison_buckets().len()).max(1) as f64;
     let x0 = vec![share; matrix.d_in()];
     let mut y0 = vec![0.0; matrix.d_out()];
     for &j in matrix.poison_buckets() {
         y0[j] = share;
     }
-    solve_with_init_in(matrix, counts, mstep, &x0, &y0, opts, ws)
+    (x0, y0)
 }
 
 /// Runs EM from an explicit initialization.
@@ -195,12 +251,34 @@ pub fn solve_with_init_in(
     opts: &EmOptions,
     ws: &mut EmWorkspace,
 ) -> EmOutcome {
+    finished(run(matrix, counts, mstep, x_init, y_init, opts, None, ws))
+}
+
+/// Runs the EM loop in the instance this CPU supports best.
+#[allow(clippy::too_many_arguments)]
+fn run(
+    matrix: &TransformMatrix,
+    counts: &[f64],
+    mstep: MStep,
+    x_init: &[f64],
+    y_init: &[f64],
+    opts: &EmOptions,
+    rival: Option<f64>,
+    ws: &mut EmWorkspace,
+) -> Result<EmOutcome, Abandoned> {
     let structure = matrix.structure();
     #[cfg(target_arch = "x86_64")]
-    if let Some(outcome) = run_em_avx2(matrix, counts, mstep, x_init, y_init, opts, ws, structure) {
+    if let Some(outcome) =
+        run_em_avx2(matrix, counts, mstep, x_init, y_init, opts, rival, ws, structure)
+    {
         return outcome;
     }
-    run_em_portable(matrix, counts, mstep, x_init, y_init, opts, ws, structure)
+    run_em_portable(matrix, counts, mstep, x_init, y_init, opts, rival, ws, structure)
+}
+
+/// The outcome of a solve without a rival, which nothing abandons.
+fn finished(outcome: Result<EmOutcome, Abandoned>) -> EmOutcome {
+    outcome.unwrap_or_else(|_| unreachable!("only a solve with a rival is abandoned"))
 }
 
 /// The historical dense row-by-row solver, kept as the reference the
@@ -216,7 +294,8 @@ pub fn solve_dense_reference(
     y_init: &[f64],
     opts: &EmOptions,
 ) -> EmOutcome {
-    run_em_portable(matrix, counts, mstep, x_init, y_init, opts, &mut EmWorkspace::new(), None)
+    let ws = &mut EmWorkspace::new();
+    finished(run_em_portable(matrix, counts, mstep, x_init, y_init, opts, None, ws, None))
 }
 
 /// [`run_em`] compiled for the default target.
@@ -228,10 +307,11 @@ fn run_em_portable(
     x_init: &[f64],
     y_init: &[f64],
     opts: &EmOptions,
+    rival: Option<f64>,
     ws: &mut EmWorkspace,
     structure: Option<&StructuredColumns>,
-) -> EmOutcome {
-    run_em(matrix, counts, mstep, x_init, y_init, opts, ws, structure)
+) -> Result<EmOutcome, Abandoned> {
+    run_em(matrix, counts, mstep, x_init, y_init, opts, rival, ws, structure)
 }
 
 /// [`run_em`] compiled with AVX2 enabled, so the element-wise loops run
@@ -248,9 +328,10 @@ fn run_em_avx2(
     x_init: &[f64],
     y_init: &[f64],
     opts: &EmOptions,
+    rival: Option<f64>,
     ws: &mut EmWorkspace,
     structure: Option<&StructuredColumns>,
-) -> Option<EmOutcome> {
+) -> Option<Result<EmOutcome, Abandoned>> {
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     fn instance(
@@ -260,10 +341,11 @@ fn run_em_avx2(
         x_init: &[f64],
         y_init: &[f64],
         opts: &EmOptions,
+        rival: Option<f64>,
         ws: &mut EmWorkspace,
         structure: Option<&StructuredColumns>,
-    ) -> EmOutcome {
-        run_em(matrix, counts, mstep, x_init, y_init, opts, ws, structure)
+    ) -> Result<EmOutcome, Abandoned> {
+        run_em(matrix, counts, mstep, x_init, y_init, opts, rival, ws, structure)
     }
 
     if !std::arch::is_x86_feature_detected!("avx2") {
@@ -271,11 +353,14 @@ fn run_em_avx2(
     }
     // SAFETY: `instance` is safe apart from its `target_feature`, whose one
     // requirement, a CPU with AVX2, was checked just above.
-    Some(unsafe { instance(matrix, counts, mstep, x_init, y_init, opts, ws, structure) })
+    Some(unsafe { instance(matrix, counts, mstep, x_init, y_init, opts, rival, ws, structure) })
 }
 
 /// The EM loop. Always inlined, so that each instance above compiles this
 /// one body, E-steps and kernels included, for its own instruction set.
+/// With a `rival` log-likelihood it also checks the likelihood bound after
+/// every E-step ([`solve_against_in`]); the check reads the E-step's
+/// results and changes no state, so a fit it does not stop keeps its bits.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn run_em(
@@ -285,9 +370,10 @@ fn run_em(
     x_init: &[f64],
     y_init: &[f64],
     opts: &EmOptions,
+    rival: Option<f64>,
     ws: &mut EmWorkspace,
     structure: Option<&StructuredColumns>,
-) -> EmOutcome {
+) -> Result<EmOutcome, Abandoned> {
     let d_in = matrix.d_in();
     let d_out = matrix.d_out();
     assert_eq!(counts.len(), d_out, "counts length must equal d'");
@@ -297,6 +383,14 @@ fn run_em(
         x_init.iter().chain(y_init.iter()).all(|&v| v >= 0.0 && v.is_finite()),
         "initial histograms must be non-negative"
     );
+
+    // N = Σc for the bound. NaN, which fails every bound test, when a
+    // count is negative or not finite: the E-steps skip such rows, and the
+    // bound is derived for histograms only.
+    let mass = match rival {
+        Some(_) if counts.iter().all(|c| (0.0..=f64::MAX).contains(c)) => counts.iter().sum(),
+        _ => f64::NAN,
+    };
 
     ws.prepare(d_in, d_out);
     ws.x.copy_from_slice(x_init);
@@ -309,11 +403,24 @@ fn run_em(
     for iter in 0..opts.max_iters {
         iterations = iter + 1;
 
-        let py_total;
-        (ll, py_total) = match structure {
+        let step = match structure {
             Some(s) => e_step_structured(s, counts, ws),
             None => e_step_dense(matrix, counts, ws),
         };
+        ll = step.ll;
+        let py_total = step.py_total;
+
+        if let Some(rival) = rival {
+            let bound = likelihood_bound(&step, matrix.poison_buckets(), &ws.w, mass);
+            // Rounding moves ℓ, the bound and either fit's final ℓ by a
+            // relative 1e-13 or so; the margin leaves four orders of
+            // magnitude to spare. Each test fails on NaN, so odd input
+            // never abandons.
+            let margin = 1.0 + 1e-9 * (ll.abs() + rival.abs() + mass);
+            if ll.is_finite() && mass > 0.0 && bound < rival - margin {
+                return Err(Abandoned { iterations });
+            }
+        }
 
         // M-step. Normalizations multiply by a precomputed reciprocal
         // scale — one division per iteration instead of one per component.
@@ -367,13 +474,36 @@ fn run_em(
         prev_ll = ll;
     }
 
-    EmOutcome {
+    Ok(EmOutcome {
         normal: ws.x.clone(),
         poison: ws.y.clone(),
         iterations,
         converged,
         log_likelihood: ll,
-    }
+    })
+}
+
+/// The likelihood bound of the module docs at the current iterate: no
+/// distribution reaches a log-likelihood above
+/// `ℓ + N·ln((max_k g_k + F·Σw)/N)`. `mass` is `N`.
+#[inline(always)]
+fn likelihood_bound(step: &EStep, poison: &[usize], w: &[f64], mass: f64) -> f64 {
+    let g_max = poison.iter().fold(step.g_max, |g, &j| g.max(w[j]));
+    step.ll + mass * ((g_max + DENSITY_FLOOR * step.w_total) / mass).ln()
+}
+
+/// What one E-step returns.
+struct EStep {
+    /// Log-likelihood at the current iterate.
+    ll: f64,
+    /// `Σ py`.
+    py_total: f64,
+    /// `Σ w` over the rows, for the likelihood bound.
+    w_total: f64,
+    /// The largest gradient component over the input buckets, for the
+    /// likelihood bound; `+∞` from the dense E-step, which does not form
+    /// the gradient, so a dense solve is never abandoned.
+    g_max: f64,
 }
 
 /// One E-step (structured when the matrix analyzes, dense otherwise) over
@@ -384,16 +514,17 @@ pub(crate) fn e_step(
     counts: &[f64],
     ws: &mut EmWorkspace,
 ) -> (f64, f64) {
-    match matrix.structure() {
+    let step = match matrix.structure() {
         Some(s) => e_step_structured(s, counts, ws),
         None => e_step_dense(matrix, counts, ws),
-    }
+    };
+    (step.ll, step.py_total)
 }
 
 /// Dense E-step: `den_i = Σ_k M[i][k]·x_k + y_i`, responsibilities
-/// accumulated row by row. Returns `(log-likelihood, Σ py)`.
+/// accumulated row by row.
 #[inline(always)]
-fn e_step_dense(matrix: &TransformMatrix, counts: &[f64], ws: &mut EmWorkspace) -> (f64, f64) {
+fn e_step_dense(matrix: &TransformMatrix, counts: &[f64], ws: &mut EmWorkspace) -> EStep {
     ws.px.iter_mut().for_each(|v| *v = 0.0);
     ws.py.iter_mut().for_each(|v| *v = 0.0);
     let mut ll = 0.0;
@@ -416,7 +547,7 @@ fn e_step_dense(matrix: &TransformMatrix, counts: &[f64], ws: &mut EmWorkspace) 
             py_total += pyi;
         }
     }
-    (ll, py_total)
+    EStep { ll, py_total, w_total: 0.0, g_max: f64::INFINITY }
 }
 
 /// Structured E-step: the constant floors contribute
@@ -428,13 +559,10 @@ fn e_step_dense(matrix: &TransformMatrix, counts: &[f64], ws: &mut EmWorkspace) 
 /// ```
 ///
 /// Both band sweeps are contiguous slice kernels (`axpy` scatter, `dot`
-/// gather), which is what makes this path vectorize.
+/// gather), which is what makes this path vectorize. The bracket in `px_k`
+/// is the likelihood gradient `g_k`, whose maximum the step also returns.
 #[inline(always)]
-fn e_step_structured(
-    s: &StructuredColumns,
-    counts: &[f64],
-    ws: &mut EmWorkspace,
-) -> (f64, f64) {
+fn e_step_structured(s: &StructuredColumns, counts: &[f64], ws: &mut EmWorkspace) -> EStep {
     let base = dot(s.floors(), &ws.x);
     ws.den.iter_mut().for_each(|v| *v = base);
     for (k, &xv) in ws.x.iter().enumerate() {
@@ -445,12 +573,15 @@ fn e_step_structured(
     let (ll, w_total, py_total) =
         likelihood_pass(counts, &mut ws.den, &ws.y, &mut ws.w, &mut ws.py);
 
+    let mut g_max = f64::NEG_INFINITY;
     for (k, pxk) in ws.px.iter_mut().enumerate() {
         let (start, deltas) = s.band(k);
         let band = dot(deltas, &ws.w[start..start + deltas.len()]);
-        *pxk = ws.x[k] * (s.floors()[k] * w_total + band);
+        let g = s.floors()[k] * w_total + band;
+        g_max = g_max.max(g);
+        *pxk = ws.x[k] * g;
     }
-    (ll, py_total)
+    EStep { ll, py_total, w_total, g_max }
 }
 
 /// The per-row likelihood/responsibility pass of the structured E-step:
@@ -619,7 +750,8 @@ mod tests {
     use super::*;
     use crate::transform::PoisonRegion;
     use dap_ldp::{
-        Duchi, Epsilon, KRandomizedResponse, NumericMechanism, PiecewiseMechanism, SquareWave,
+        Duchi, Epsilon, KRandomizedResponse, NumericMechanism, OutputDistribution,
+        PiecewiseConstant, PiecewiseMechanism, SquareWave,
     };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -741,14 +873,140 @@ mod tests {
             for opts in caps.iter().chain([&paper]) {
                 let mut ws = EmWorkspace::new();
                 let s = m.structure();
-                let portable = run_em_portable(&m, &counts, mstep, &x0, &y0, opts, &mut ws, s);
+                let portable =
+                    finished(run_em_portable(&m, &counts, mstep, &x0, &y0, opts, None, &mut ws, s));
                 let public = solve_with_init(&m, &counts, mstep, &x0, &y0, opts);
                 prop_assert_eq!(outcome_bits(&public), outcome_bits(&portable));
                 #[cfg(target_arch = "x86_64")]
-                if let Some(avx2) = run_em_avx2(&m, &counts, mstep, &x0, &y0, opts, &mut ws, s) {
-                    prop_assert_eq!(outcome_bits(&avx2), outcome_bits(&portable));
+                if let Some(avx2) =
+                    run_em_avx2(&m, &counts, mstep, &x0, &y0, opts, None, &mut ws, s)
+                {
+                    prop_assert_eq!(outcome_bits(&finished(avx2)), outcome_bits(&portable));
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// The likelihood bound never undercuts the fit: raced against the
+        /// log-likelihood it ends at, a fit is never abandoned and keeps
+        /// its bits, so no bound it formed on the way fell below its final
+        /// log-likelihood minus the margin. Against a rival far above any
+        /// reachable log-likelihood, both instances stop it at the same
+        /// iteration.
+        #[test]
+        fn likelihood_bound_never_undercuts_the_finished_fit(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (m, counts, x0, y0, mstep) = random_problem(&mut rng);
+            let caps = [1, 7, 60].map(|max_iters| EmOptions { tol: 0.0, max_iters });
+            let paper = EmOptions::paper_default(rng.gen_range(0.0625..4.0));
+            let mut ws = EmWorkspace::new();
+            for opts in caps.iter().chain([&paper]) {
+                let full = finished(run(&m, &counts, mstep, &x0, &y0, opts, None, &mut ws));
+                let rival = Some(full.log_likelihood);
+                match run(&m, &counts, mstep, &x0, &y0, opts, rival, &mut ws) {
+                    Ok(raced) => prop_assert_eq!(outcome_bits(&raced), outcome_bits(&full)),
+                    Err(stop) => prop_assert!(
+                        false,
+                        "abandoned at {} of {} iterations (ℓ {})",
+                        stop.iterations, full.iterations, full.log_likelihood
+                    ),
+                }
+                let out_of_reach = Some(full.log_likelihood.abs() * 4.0 + 1e6);
+                let s = m.structure();
+                let portable =
+                    run_em_portable(&m, &counts, mstep, &x0, &y0, opts, out_of_reach, &mut ws, s);
+                #[cfg(target_arch = "x86_64")]
+                if let Some(avx2) =
+                    run_em_avx2(&m, &counts, mstep, &x0, &y0, opts, out_of_reach, &mut ws, s)
+                {
+                    prop_assert_eq!(
+                        avx2.as_ref().map(outcome_bits).map_err(|a| a.iterations),
+                        portable.as_ref().map(outcome_bits).map_err(|a| a.iterations)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fit_that_cannot_reach_its_rival_is_abandoned_early() {
+        // The wrong-side hypothesis of a right-side attack, raced against
+        // the right side's fit: the bound gives it up within a few
+        // iterations, where its full fit runs to the cap.
+        let mech = PiecewiseMechanism::with_epsilon(0.25).unwrap();
+        let left = TransformMatrix::for_numeric(&mech, 8, 64, &PoisonRegion::LeftOf(0.0));
+        let right = TransformMatrix::for_numeric(&mech, 8, 64, &PoisonRegion::RightOf(0.0));
+        let mut counts = vec![300.0; 64];
+        for c in &mut counts[48..] {
+            *c += 600.0;
+        }
+        let opts = EmOptions::paper_default(0.25);
+        let mut ws = EmWorkspace::new();
+        let kept = solve_in(&right, &counts, MStep::Free, &opts, &mut ws);
+        let lost = solve_in(&left, &counts, MStep::Free, &opts, &mut ws);
+        assert!(lost.log_likelihood < kept.log_likelihood);
+        let rival = kept.log_likelihood;
+        let raced = solve_against_in(&left, &counts, MStep::Free, &opts, rival, &mut ws);
+        let stop = raced.expect_err("the losing side must be abandoned");
+        assert!(
+            stop.iterations * 4 < lost.iterations,
+            "abandoned after {} of {} iterations",
+            stop.iterations,
+            lost.iterations
+        );
+        // Empty counts and a NaN count never abandon, however high the
+        // rival.
+        for odd in [vec![0.0; 64], {
+            let mut c = counts.clone();
+            c[3] = f64::NAN;
+            c
+        }] {
+            let out = solve_against_in(&left, &odd, MStep::Free, &opts, 1e300, &mut ws);
+            assert!(out.is_ok(), "odd counts abandoned");
+        }
+    }
+
+    /// Output uniform on `[v − ¼, v + ¼]`, inside an output domain of
+    /// `[−2, 2]`: the transform matrix analyzes into narrow bands over a
+    /// zero floor, and no input reaches the rows beyond ±1.25.
+    struct Window;
+
+    impl NumericMechanism for Window {
+        fn epsilon(&self) -> Epsilon {
+            Epsilon::new(1.0).unwrap()
+        }
+        fn input_range(&self) -> (f64, f64) {
+            (-1.0, 1.0)
+        }
+        fn output_range(&self) -> (f64, f64) {
+            (-2.0, 2.0)
+        }
+        fn perturb(&self, v: f64, rng: &mut dyn rand::RngCore) -> f64 {
+            v + rng.gen_range(-0.25..0.25)
+        }
+        fn output_distribution(&self, v: f64) -> OutputDistribution {
+            OutputDistribution::Density(PiecewiseConstant::new(vec![v - 0.25, v + 0.25], vec![2.0]))
+        }
+    }
+
+    #[test]
+    fn rows_at_the_density_floor_do_not_abandon_a_fit() {
+        // Counts in rows that no component reaches: the E-step floors
+        // their density at DENSITY_FLOOR on every iteration. Raced against
+        // its own final log-likelihood, the fit must still run in full.
+        let m = TransformMatrix::for_numeric(&Window, 8, 32, &PoisonRegion::None);
+        assert!(m.structure().is_some(), "the window mechanism should analyze");
+        let mut counts: Vec<f64> = (0..32).map(|i| ((i * 7) % 11) as f64).collect();
+        counts[0] = 5.0;
+        counts[31] = 3.0;
+        let mut ws = EmWorkspace::new();
+        for opts in [EmOptions { tol: 0.0, max_iters: 60 }, EmOptions::default()] {
+            let full = solve_in(&m, &counts, MStep::Free, &opts, &mut ws);
+            let rival = full.log_likelihood;
+            let raced = solve_against_in(&m, &counts, MStep::Free, &opts, rival, &mut ws)
+                .expect("a fit is never abandoned against where it ends");
+            assert_eq!(outcome_bits(&raced), outcome_bits(&full));
         }
     }
 
