@@ -124,7 +124,7 @@ impl DapError {
     /// The wire layer ([`crate::net`]) round-trips a mismatch by index
     /// into this table, which is what keeps the variant's `&'static str`
     /// intact across a network hop.
-    pub const MISMATCH_FIELDS: [&'static str; 20] = [
+    pub const MISMATCH_FIELDS: [&'static str; 21] = [
         "zero sessions (nothing to merge)",
         "config budgets and group plan",
         "config eps",
@@ -145,6 +145,7 @@ impl DapError {
         "share resolution",
         "secagg topology",
         "seed commitment",
+        "part histogram values",
     ];
 }
 

@@ -243,18 +243,30 @@ impl<M: NumericMechanism> DapSession<M> {
     /// the exactness contract.
     pub fn ingest_batch(&mut self, group: usize, reports: &[f64]) -> Result<(), DapError> {
         self.check_ingest_batch(group, reports)?;
+        self.apply_batch(group, reports);
+        Ok(())
+    }
+
+    /// The accumulation half of [`DapSession::ingest_batch`], for a batch
+    /// that [`DapSession::check_ingest_batch`] accepted with nothing
+    /// applied since. The write-ahead journal validates once, appends,
+    /// then applies.
+    pub(crate) fn apply_batch(&mut self, group: usize, reports: &[f64]) {
         let state = &mut self.groups[group];
-        // Split the borrows once: the grid is read-only while the
-        // histogram accumulates, and the report counter needs no per-item
-        // increment.
-        let grid = &state.grid;
+        // The grid and the running sum are copied into locals, which stay
+        // in registers: a store into `counts` might alias a field read
+        // through `state`, as far as the compiler can tell, so reading
+        // them there would reload them for every report. The report
+        // counter needs no per-item increment.
+        let grid = state.grid;
         let hist = &mut state.hist;
+        let mut sum = hist.sum_reports;
         for &r in reports {
             hist.counts[grid.bucket_of(r)] += 1.0;
-            hist.sum_reports += r;
+            sum += r;
         }
+        hist.sum_reports = sum;
         hist.n_reports += reports.len();
-        Ok(())
     }
 
     /// The validation half of [`DapSession::ingest_batch`], without the
@@ -308,9 +320,22 @@ impl<M: NumericMechanism> DapSession<M> {
         reports: &[f64],
     ) -> Result<(), DapError> {
         self.check_ingest_batch_seq(channel, seq, group, reports)?;
-        self.ingest_batch(group, reports)?;
-        self.channels.insert(channel, seq);
+        self.apply_batch_seq(channel, seq, group, reports);
         Ok(())
+    }
+
+    /// The accumulation half of [`DapSession::ingest_batch_seq`], for a
+    /// batch that [`DapSession::check_ingest_batch_seq`] accepted with
+    /// nothing applied since (see [`DapSession::apply_batch`]).
+    pub(crate) fn apply_batch_seq(
+        &mut self,
+        channel: u64,
+        seq: u64,
+        group: usize,
+        reports: &[f64],
+    ) {
+        self.apply_batch(group, reports);
+        self.channels.insert(channel, seq);
     }
 
     /// The validation half of [`DapSession::ingest_batch_seq`]: the replay
@@ -459,8 +484,8 @@ impl<M: NumericMechanism> DapSession<M> {
     /// to having ingested them here.
     ///
     /// The part is validated atomically before any accumulation: a digest
-    /// mismatch, group-shape mismatch or quota violation leaves the
-    /// session untouched.
+    /// mismatch, group-shape mismatch, quota violation or impossible value
+    /// ([`DapSession::check_part`]) leaves the session untouched.
     pub fn merge_part(&mut self, part: &SessionPart) -> Result<(), DapError> {
         self.check_part(part)?;
         for (state, pg) in self.groups.iter_mut().zip(&part.groups) {
@@ -478,9 +503,16 @@ impl<M: NumericMechanism> DapSession<M> {
     }
 
     /// The validation half of [`DapSession::merge_part`], without the
-    /// accumulation: digest, group shape and quota checks. Like
+    /// accumulation: digest, group shape, quota and value checks. Like
     /// [`DapSession::check_ingest_batch`], this is what the write-ahead
-    /// journal runs before a `merge` record is appended.
+    /// journal runs before a `merge` record is appended, and checkpoint
+    /// restore runs it too.
+    ///
+    /// A part arrives off the wire or out of storage, so its values are
+    /// checked as well: every count must be a finite, non-negative whole
+    /// number, the counts must add up to the part's report tally, and the
+    /// report sum must be finite. Otherwise the part is refused with
+    /// [`DapError::SessionMismatch`] on `"part histogram values"`.
     pub fn check_part(&self, part: &SessionPart) -> Result<(), DapError> {
         self.check_plain()?;
         if part.digest != self.state_digest() {
@@ -502,6 +534,9 @@ impl<M: NumericMechanism> DapSession<M> {
                     ingested: state.hist.n_reports,
                     attempted: pg.n_reports,
                 });
+            }
+            if !part_values_hold(pg) {
+                return Err(DapError::SessionMismatch { what: "part histogram values" });
             }
         }
         Ok(())
@@ -625,13 +660,20 @@ impl<M: NumericMechanism> DapSession<M> {
         counts: &[u64],
     ) -> Result<(), DapError> {
         self.check_ingest_shares(channel, seq, group, counts)?;
+        self.apply_shares(channel, seq, group, counts);
+        Ok(())
+    }
+
+    /// The accumulation half of [`DapSession::ingest_shares`], for a batch
+    /// that [`DapSession::check_ingest_shares`] accepted with nothing
+    /// applied since (see [`DapSession::apply_batch`]).
+    pub(crate) fn apply_shares(&mut self, channel: u64, seq: u64, group: usize, counts: &[u64]) {
         let masked = self.masked.as_mut().expect("checked by check_ingest_shares");
         for (acc, &share) in masked.groups[group].iter_mut().zip(counts) {
             *acc = acc.wrapping_add(share);
         }
         masked.shares_applied += 1;
         self.channels.insert(channel, seq);
-        Ok(())
     }
 
     /// Serializes the masked state for transport — the share server's
@@ -690,6 +732,16 @@ impl<M: NumericMechanism> DapSession<M> {
         }
         Ok(())
     }
+}
+
+/// Whether a part group's values could come from ingesting its reports:
+/// whole, non-negative counts (NaN and ±∞ fail the test) that add up to
+/// its tally, and a finite report sum. The total is exact in f64 since it
+/// is compared with a tally that the quota check bounds far below 2⁵³.
+fn part_values_hold(pg: &PartGroup) -> bool {
+    pg.counts.iter().all(|&c| c >= 0.0 && c.fract() == 0.0)
+        && pg.counts.iter().sum::<f64>() == pg.n_reports as f64
+        && pg.sum_reports.is_finite()
 }
 
 /// One group's streamed state inside a [`SessionPart`].
@@ -883,14 +935,14 @@ impl<M: NumericMechanism + Sync> DapSession<M> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::population::Population;
     use dap_attack::{Attack, UniformAttack};
     use dap_estimation::rng::seeded;
     use dap_ldp::PiecewiseMechanism;
 
-    fn session(eps: f64, n_users: usize, seed: u64) -> DapSession<PiecewiseMechanism> {
+    pub(crate) fn session(eps: f64, n_users: usize, seed: u64) -> DapSession<PiecewiseMechanism> {
         let cfg = DapConfig { max_d_out: 32, ..DapConfig::paper_default(eps, Scheme::Emf) };
         let plan = GroupPlan::build(n_users, cfg.eps, cfg.eps0, &mut seeded(seed));
         DapSession::new(cfg, plan, PiecewiseMechanism::new).expect("valid session")
@@ -1030,6 +1082,65 @@ mod tests {
         assert_eq!(base.ingested(0), quota, "rejected part left a trace");
     }
 
+    /// An honest part and forgeries of it whose values no ingestion could
+    /// produce, each labelled. The fractional and negative counts keep the
+    /// total, so the per-count check is what refuses them.
+    pub(crate) fn forged_parts() -> (SessionPart, Vec<(&'static str, SessionPart)>) {
+        let mut donor = session(0.25, 400, 22);
+        donor.ingest_batch(0, &[0.0, 0.5, -0.5, 0.25, -1.0]).unwrap();
+        let good = donor.export_part();
+        let (i, j) = {
+            let counts = &good.groups[0].counts;
+            let i = counts.iter().position(|&c| c > 0.0).expect("a filled bucket");
+            (i, (i + 1) % counts.len())
+        };
+        let forge = |f: &dyn Fn(&mut PartGroup)| {
+            let mut part = good.clone();
+            f(&mut part.groups[0]);
+            part
+        };
+        let forgeries = vec![
+            ("NaN count", forge(&|g| g.counts[i] = f64::NAN)),
+            ("infinite count", forge(&|g| g.counts[i] = f64::INFINITY)),
+            (
+                "-5.5 count",
+                forge(&|g| {
+                    g.counts[j] += g.counts[i] + 5.5;
+                    g.counts[i] = -5.5;
+                }),
+            ),
+            (
+                "0.5 count",
+                forge(&|g| {
+                    g.counts[i] -= 0.5;
+                    g.counts[j] += 0.5;
+                }),
+            ),
+            ("wrong total", forge(&|g| g.n_reports += 1)),
+            ("NaN report sum", forge(&|g| g.sum_reports = f64::NAN)),
+            ("infinite report sum", forge(&|g| g.sum_reports = f64::NEG_INFINITY)),
+        ];
+        (good, forgeries)
+    }
+
+    #[test]
+    fn merge_part_refuses_impossible_values() {
+        let mut base = session(0.25, 400, 22);
+        base.ingest_batch(0, &[0.1, -0.1]).unwrap();
+        let before = base.content_digest();
+        let (good, forgeries) = forged_parts();
+        for (label, forged) in forgeries {
+            let err = base.merge_part(&forged).unwrap_err();
+            assert!(
+                matches!(err, DapError::SessionMismatch { what: "part histogram values" }),
+                "{label}: {err}"
+            );
+            assert_eq!(base.content_digest(), before, "{label} left a trace");
+        }
+        base.merge_part(&good).expect("the honest part merges");
+        assert_eq!(base.ingested(0), 7);
+    }
+
     #[test]
     fn session_mismatch_literals_are_wire_encodable() {
         // Every `what` this module constructs directly (i.e. not via the
@@ -1045,6 +1156,7 @@ mod tests {
             "share resolution",
             "secagg topology",
             "seed commitment",
+            "part histogram values",
         ] {
             assert!(
                 DapError::MISMATCH_FIELDS.contains(&what),

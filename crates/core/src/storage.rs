@@ -48,8 +48,8 @@
 use crate::codec::{self, Fnv};
 use crate::error::DapError;
 use crate::net::{
-    decode_frame, encode_frame, push_ingest_batch, push_seq_batch, push_share_batch, Frame,
-    StatusCounters, WireSession,
+    decode_frame, encode_frame, push_ingest_batch, push_merge, push_seq_batch, push_share_batch,
+    Frame, StatusCounters, WireSession,
 };
 use crate::protocol::DapOutput;
 use crate::scheme::Scheme;
@@ -910,11 +910,14 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
         Ok(())
     }
 
-    /// Write-ahead [`DapSession::ingest`].
+    /// Write-ahead [`DapSession::ingest`]. Like the batch and share paths
+    /// below, it validates once, before the append, and then applies
+    /// without a second check: a failed append leaves the session as it
+    /// was.
     pub fn ingest(&mut self, group: usize, report: f64) -> Result<(), DapError> {
         self.session.check_ingest_batch(group, &[report])?;
         self.append_record(&encode_frame(&Frame::Ingest { group, report }))?;
-        self.session.ingest(group, report)?;
+        self.session.apply_batch(group, &[report]);
         self.maybe_checkpoint()
     }
 
@@ -924,7 +927,7 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
         let mut record = String::new();
         push_ingest_batch(&mut record, group, reports);
         self.append_record(&record)?;
-        self.session.ingest_batch(group, reports)?;
+        self.session.apply_batch(group, reports);
         self.maybe_checkpoint()
     }
 
@@ -945,7 +948,7 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
         let mut record = String::new();
         push_seq_batch(&mut record, channel, seq, group, reports);
         self.append_record(&record)?;
-        self.session.ingest_batch_seq(channel, seq, group, reports)?;
+        self.session.apply_batch_seq(channel, seq, group, reports);
         self.maybe_checkpoint()
     }
 
@@ -964,7 +967,7 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
         let mut record = String::new();
         push_share_batch(&mut record, channel, seq, group, counts);
         self.append_record(&record)?;
-        self.session.ingest_shares(channel, seq, group, counts)?;
+        self.session.apply_shares(channel, seq, group, counts);
         self.maybe_checkpoint()
     }
 
@@ -978,7 +981,9 @@ impl<M: NumericMechanism, B: StorageBackend> DurableSession<M, B> {
     /// Write-ahead [`DapSession::merge_part`].
     pub fn merge_part(&mut self, part: &SessionPart) -> Result<(), DapError> {
         self.session.check_part(part)?;
-        self.append_record(&encode_frame(&Frame::Merge { part: part.clone() }))?;
+        let mut record = String::new();
+        push_merge(&mut record, part);
+        self.append_record(&record)?;
         self.session.merge_part(part)?;
         self.maybe_checkpoint()
     }
@@ -1598,6 +1603,25 @@ mod tests {
         let err = durable.ingest(0, 0.5).unwrap_err();
         assert!(matches!(err, DapError::Journal { .. }), "{err}");
         assert_eq!(durable.session().content_digest(), session(12).content_digest());
+    }
+
+    #[test]
+    fn a_checkpoint_with_impossible_values_is_refused_typed() {
+        let (good, forgeries) = crate::session::tests::forged_parts();
+        let (mut journal, _) = Journal::open(MemoryBackend::new()).unwrap();
+        journal.compact(encode_frame(&Frame::Part { part: good }).as_bytes()).unwrap();
+        let fresh = || crate::session::tests::session(0.25, 400, 22);
+        let opened = DurableSession::open(fresh(), journal.into_backend(), Default::default());
+        assert!(opened.is_ok(), "the honest checkpoint opens");
+        for (label, forged) in forgeries {
+            let (mut journal, _) = Journal::open(MemoryBackend::new()).unwrap();
+            journal.compact(encode_frame(&Frame::Part { part: forged }).as_bytes()).unwrap();
+            let err = DurableSession::open(fresh(), journal.into_backend(), Default::default())
+                .err()
+                .unwrap_or_else(|| panic!("a checkpoint with a {label} opened"));
+            assert!(matches!(err, DapError::Journal { .. }), "{label}: {err}");
+            assert!(err.to_string().contains("part histogram values"), "{label}: {err}");
+        }
     }
 
     #[test]

@@ -127,10 +127,12 @@ fn part(rng: &mut StdRng, shape: &Shape) -> SessionPart {
         groups: shape
             .resolutions
             .iter()
-            .map(|&buckets| PartGroup {
-                counts: vec_of(rng, buckets, |r| r.gen_range(0..3u32) as f64),
-                sum_reports: rng.gen_range(-1.0..1.0),
-                n_reports: rng.gen_range(0..3usize),
+            .map(|&buckets| {
+                // A few reports, tallied, so that an undamaged part passes
+                // the quota and value checks and merges.
+                let counts = vec_of(rng, buckets, |r| f64::from(u8::from(r.gen_bool(0.05))));
+                let n_reports = counts.iter().sum::<f64>() as usize;
+                PartGroup { counts, sum_reports: rng.gen_range(-1.0..1.0), n_reports }
             })
             .collect(),
         channels: channels(rng),

@@ -9,7 +9,7 @@
 ///
 /// Buckets are half-open `[edge_i, edge_{i+1})` except the last, which is
 /// closed so the full domain is covered.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Grid {
     lo: f64,
     hi: f64,
@@ -20,12 +20,13 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// Builds a grid of `n ≥ 1` buckets over `[lo, hi]`, `lo < hi`.
+    /// Builds a grid of `n ≥ 1` buckets over `[lo, hi]`, `lo < hi`, whose
+    /// width `hi − lo` is a finite double.
     ///
     /// # Panics
     /// If the interval is empty/invalid or `n == 0`.
     pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "invalid interval [{lo}, {hi}]");
+        assert!(lo < hi && (hi - lo).is_finite(), "invalid interval [{lo}, {hi}]");
         assert!(n >= 1, "grid needs at least one bucket");
         let width = (hi - lo) / n as f64;
         Grid { lo, hi, n, width, inv_width: 1.0 / width }
@@ -62,17 +63,17 @@ impl Grid {
     }
 
     /// Bucket index containing `v`; values outside the domain clamp to the
-    /// nearest end bucket (perturbed values can stray by floating error).
+    /// nearest end bucket (perturbed values can stray by floating error),
+    /// and NaN lands in bucket 0.
+    ///
+    /// Branch-free: below `lo` the scaled offset is negative, `-∞` or NaN,
+    /// which the saturating cast takes to 0, and from `hi` up it is at
+    /// least `n − 1` (the two roundings in `inv_width` cost far less than
+    /// one bucket), which the `min` clamps. A property test holds this to
+    /// the branching form on every kind of double.
     #[inline]
     pub fn bucket_of(&self, v: f64) -> usize {
-        if v <= self.lo {
-            return 0;
-        }
-        if v >= self.hi {
-            return self.n - 1;
-        }
-        let idx = ((v - self.lo) * self.inv_width) as usize;
-        idx.min(self.n - 1)
+        (((v - self.lo) * self.inv_width) as usize).min(self.n - 1)
     }
 
     /// `[lower, upper)` edges of bucket `i` (upper edge of the last bucket
@@ -138,6 +139,76 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// The branching lookup [`Grid::bucket_of`] replaced.
+    fn bucket_of_branching(g: &Grid, v: f64) -> usize {
+        if v <= g.lo {
+            return 0;
+        }
+        if v >= g.hi {
+            return g.n - 1;
+        }
+        (((v - g.lo) * g.inv_width) as usize).min(g.n - 1)
+    }
+
+    /// A grid at any scale: unit-sized, huge, tiny (down to subnormal
+    /// widths), or spanning most of the doubles.
+    fn random_grid(rng: &mut StdRng) -> Grid {
+        let n = match rng.gen_range(0..3u32) {
+            0 => 1,
+            1 => rng.gen_range(2..300usize),
+            _ => rng.gen_range(1..1usize << 40),
+        };
+        let (lo, hi) = match rng.gen_range(0..4u32) {
+            0 => {
+                let c = rng.gen_range(0.1..20.0);
+                (-c, c)
+            }
+            1 => {
+                let lo = rng.gen_range(-1e300..1e300);
+                (lo, lo + rng.gen_range(1e-3..1e300))
+            }
+            2 => {
+                let lo = rng.gen_range(-1e-300..1e-300);
+                (lo, lo + f64::from_bits(rng.gen_range(1..1u64 << 54)))
+            }
+            _ => (-f64::MAX / 2.0, f64::MAX / 2.0),
+        };
+        Grid::new(lo, hi, n)
+    }
+
+    /// A probe value for `g`: its ends and their neighbours, NaN, ±∞,
+    /// signed zeros, values inside and just outside the domain, or any
+    /// bit pattern.
+    fn probe_value(rng: &mut StdRng, g: &Grid) -> f64 {
+        match rng.gen_range(0..8u32) {
+            0 => [g.lo, g.hi][rng.gen_range(0..2usize)],
+            1 => [g.lo.next_down(), g.lo.next_up(), g.hi.next_down(), g.hi.next_up()]
+                [rng.gen_range(0..4usize)],
+            2 => [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, f64::MAX, f64::MIN]
+                [rng.gen_range(0..7usize)],
+            3 => g.lo + g.width() * rng.gen_range(-0.5..g.n as f64 + 0.5),
+            4 => g.edges(rng.gen_range(0..g.n)).0,
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    proptest! {
+        /// The branch-free lookup equals the branching one on every kind
+        /// of double: NaN, ±∞, both domain ends and their neighbours.
+        #[test]
+        fn branch_free_bucket_of_matches_the_branching_form(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = random_grid(&mut rng);
+            for _ in 0..64 {
+                let v = probe_value(&mut rng, &g);
+                prop_assert_eq!(g.bucket_of(v), bucket_of_branching(&g, v), "{:?} at {}", g, v);
+            }
+        }
+    }
 
     #[test]
     fn bucket_lookup_covers_domain() {
@@ -216,6 +287,12 @@ mod tests {
     #[should_panic(expected = "invalid interval")]
     fn rejects_empty_interval() {
         Grid::new(1.0, 1.0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid interval")]
+    fn rejects_an_interval_wider_than_any_double() {
+        Grid::new(-f64::MAX, f64::MAX, 4);
     }
 
     #[test]
