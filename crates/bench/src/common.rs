@@ -7,6 +7,7 @@
 //! bit-identical for any thread count.
 
 use dap_attack::{Anchor, Attack, UniformAttack};
+use dap_core::parallel::effective_threads;
 use dap_core::{parallel_map, DapConfig, Population, Scheme};
 use dap_datasets::Dataset;
 use dap_emf::EmfConfig;
@@ -400,8 +401,10 @@ fn bench_trend(previous: &str, fresh_median: f64) -> Vec<String> {
 /// under, the wall-clock of each repeat with the median the CI trend tracks
 /// (`bench_trend` carries the re-baseline history forward), and the
 /// same-run calibration yardstick with the `median / calib` ratio the perf
-/// gate compares across machines. Hand-rolled JSON — the workspace has no
-/// serde.
+/// gate compares across machines. The run's worker-thread count is among
+/// the options: the median is a parallel wall time and the yardstick a
+/// one-thread solve, so the ratio compares only at equal thread counts.
+/// Hand-rolled JSON — the workspace has no serde.
 pub fn write_bench_json(
     path: &str,
     experiment: &str,
@@ -417,12 +420,13 @@ pub fn write_bench_json(
     let runs: Vec<String> = runs_ms.iter().map(|ms| format!("{ms:.1}")).collect();
     let trend = bench_trend(&std::fs::read_to_string(path).unwrap_or_default(), median);
     let json = format!(
-        "{{\n  \"experiment\": \"{}\",\n  \"n\": {},\n  \"trials\": {},\n  \"seed\": {},\n  \"max_d_out\": {},\n  \"median_wall_ms\": {:.1},\n  \"runs_wall_ms\": [{}],\n  \"trend_wall_ms\": [{}],\n  \"calib_wall_ms\": {:.1},\n  \"median_over_calib\": {:.3}\n}}\n",
+        "{{\n  \"experiment\": \"{}\",\n  \"n\": {},\n  \"trials\": {},\n  \"seed\": {},\n  \"max_d_out\": {},\n  \"threads\": {},\n  \"median_wall_ms\": {:.1},\n  \"runs_wall_ms\": [{}],\n  \"trend_wall_ms\": [{}],\n  \"calib_wall_ms\": {:.1},\n  \"median_over_calib\": {:.3}\n}}\n",
         experiment,
         opts.n,
         opts.trials,
         opts.seed,
         opts.max_d_out,
+        effective_threads(),
         median,
         runs.join(", "),
         trend.join(", "),
@@ -564,6 +568,7 @@ mod tests {
         assert!(body.contains("\"trend_wall_ms\": [20.0]"));
         assert!(body.contains("\"calib_wall_ms\": 8.0"));
         assert!(body.contains("\"median_over_calib\": 2.500"));
+        assert!(body.contains(&format!("\"threads\": {},", effective_threads())), "{body}");
         // A re-baseline appends to the trend, never rewrites history.
         write_bench_json(path, "fig7", &opts, &[25.0], 10.0).expect("writable");
         let body = std::fs::read_to_string(path).expect("readable");
