@@ -19,12 +19,8 @@
 //! directions — and the frame codec built on them — byte-identical to
 //! those plain implementations, which stay here as a test-only
 //! reference (`codec::reference`, compiled into unit tests only).
-//!
-//! The text encoders append to a `TextSink`: a `String`, or a `ByteText`
-//! over a byte queue, so a client writes its frames straight into the
-//! buffer it sends.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 /// Largest integer an f64-backed JSON number represents exactly (2⁵³).
 pub const MAX_EXACT_JSON_INT: u64 = 1 << 53;
@@ -67,7 +63,7 @@ const NOT_HEX: u8 = 0x80;
 /// Appends [`hex_u64`] to an existing buffer — the allocation-free form
 /// for hot encoding loops (a million-report wire batch writes a million
 /// of these). Byte-identical to `write!(out, "{v:#018x}")`.
-pub fn push_hex_u64<W: fmt::Write + ?Sized>(out: &mut W, v: u64) {
+pub fn push_hex_u64(out: &mut String, v: u64) {
     #[cfg(test)]
     if reference::on() {
         let _ = write!(out, "{v:#018x}");
@@ -77,62 +73,12 @@ pub fn push_hex_u64<W: fmt::Write + ?Sized>(out: &mut W, v: u64) {
     for (i, digit) in token[2..].iter_mut().enumerate() {
         *digit = HEX_DIGITS[(v >> (60 - 4 * i)) as usize & 0xf];
     }
-    let _ = out.write_str(std::str::from_utf8(&token).expect("hex digits are ASCII"));
+    out.push_str(std::str::from_utf8(&token).expect("hex digits are ASCII"));
 }
 
 /// Appends [`f64_to_hex`] to an existing buffer without allocating.
-pub fn push_hex_f64<W: fmt::Write + ?Sized>(out: &mut W, v: f64) {
+pub fn push_hex_f64(out: &mut String, v: f64) {
     push_hex_u64(out, v.to_bits());
-}
-
-/// [`hex_u64`] as a `Display` value: a `write!` formats the token with
-/// [`push_hex_u64`] instead of allocating it.
-pub(crate) struct Hex(pub(crate) u64);
-
-impl fmt::Display for Hex {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        push_hex_u64(f, self.0);
-        Ok(())
-    }
-}
-
-/// A buffer the text encoders append to. They write ASCII only.
-pub(crate) trait TextSink: fmt::Write {
-    /// Makes room for `additional` more bytes.
-    fn reserve(&mut self, additional: usize);
-
-    /// Appends one character.
-    fn push(&mut self, c: char) {
-        let _ = self.write_char(c);
-    }
-
-    /// Appends a string.
-    fn push_str(&mut self, s: &str) {
-        let _ = self.write_str(s);
-    }
-}
-
-impl TextSink for String {
-    fn reserve(&mut self, additional: usize) {
-        String::reserve(self, additional);
-    }
-}
-
-/// Text appended to a byte queue, such as the length-prefixed frames a
-/// client has yet to send.
-pub(crate) struct ByteText<'a>(pub(crate) &'a mut Vec<u8>);
-
-impl fmt::Write for ByteText<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0.extend_from_slice(s.as_bytes());
-        Ok(())
-    }
-}
-
-impl TextSink for ByteText<'_> {
-    fn reserve(&mut self, additional: usize) {
-        self.0.reserve(additional);
-    }
 }
 
 /// Parses a `0x`-prefixed hex u64 (the inverse of [`hex_u64`]; leading

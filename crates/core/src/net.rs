@@ -60,7 +60,7 @@
 //! a buffer that grows as bytes arrive, so a claimed length reserves at
 //! most 64 KiB before the peer sends the bytes.
 
-use crate::codec::{self, hex_u64, ByteText, Hex, TextSink};
+use crate::codec::{self, f64_to_hex, hex_u64};
 use crate::error::DapError;
 use crate::protocol::{DapOutput, GroupReport};
 use crate::scheme::Scheme;
@@ -460,7 +460,8 @@ impl Frame {
 // Frame codec
 // ---------------------------------------------------------------------------
 
-fn push_part(s: &mut impl TextSink, part: &SessionPart) {
+fn push_part(s: &mut String, part: &SessionPart) {
+    use std::fmt::Write as _;
     s.push(' ');
     codec::push_hex_u64(s, part.digest);
     let _ = write!(s, " {}", part.groups.len());
@@ -487,7 +488,8 @@ fn push_part(s: &mut impl TextSink, part: &SessionPart) {
     }
 }
 
-fn push_masked_part(s: &mut impl TextSink, part: &MaskedPart) {
+fn push_masked_part(s: &mut String, part: &MaskedPart) {
+    use std::fmt::Write as _;
     s.push(' ');
     codec::push_hex_u64(s, part.digest);
     let _ = write!(s, " {} {} ", part.k, part.index);
@@ -510,7 +512,8 @@ fn push_masked_part(s: &mut impl TextSink, part: &MaskedPart) {
     }
 }
 
-fn push_outputs(s: &mut impl TextSink, outputs: &[DapOutput]) {
+fn push_outputs(s: &mut String, outputs: &[DapOutput]) {
+    use std::fmt::Write as _;
     let _ = write!(s, " {}", outputs.len());
     for out in outputs {
         let side = match out.side {
@@ -541,6 +544,7 @@ fn push_outputs(s: &mut impl TextSink, outputs: &[DapOutput]) {
 /// Serializes a frame body (without the length prefix). Exposed for tests;
 /// use [`write_frame`] to put frames on a stream.
 pub fn encode_frame(frame: &Frame) -> String {
+    use std::fmt::Write as _;
     // Batch bodies reserve their own room (see `reserve_batch`).
     let mut s = match frame {
         Frame::IngestBatch { .. } | Frame::IngestBatchSeq { .. } | Frame::ShareBatch { .. } => {
@@ -548,30 +552,23 @@ pub fn encode_frame(frame: &Frame) -> String {
         }
         _ => String::with_capacity(64),
     };
-    push_frame_body(&mut s, frame);
-    s
-}
-
-/// Appends a frame body: the writer behind [`encode_frame`] and the
-/// frames [`write_frame`] and [`WireClient`] put on a stream.
-fn push_frame_body(s: &mut impl TextSink, frame: &Frame) {
     match frame {
         Frame::Hello { version, digest, channel, auth, commit } => {
-            let _ = write!(s, "hello {version} {}", Hex(*digest));
+            let _ = write!(s, "hello {version} {}", hex_u64(*digest));
             // Optional sections in canonical order (channel, auth, commit)
             // so each combination has exactly one encoding.
             if let Some(channel) = channel {
-                let _ = write!(s, " channel {}", Hex(*channel));
+                let _ = write!(s, " channel {}", hex_u64(*channel));
             }
             if let Some(auth) = auth {
-                let _ = write!(s, " auth {}", Hex(*auth));
+                let _ = write!(s, " auth {}", hex_u64(*auth));
             }
             if let Some(commit) = commit {
-                let _ = write!(s, " commit {}", Hex(*commit));
+                let _ = write!(s, " commit {}", hex_u64(*commit));
             }
         }
         Frame::HelloOk { digest, groups, last_seq, secagg } => {
-            let _ = write!(s, "hello-ok {} {groups}", Hex(*digest));
+            let _ = write!(s, "hello-ok {} {groups}", hex_u64(*digest));
             if let Some(last_seq) = last_seq {
                 let _ = write!(s, " seq {last_seq}");
             }
@@ -580,23 +577,23 @@ fn push_frame_body(s: &mut impl TextSink, frame: &Frame) {
             }
         }
         Frame::Ingest { group, report } => {
-            let _ = write!(s, "ingest {group} {}", Hex(report.to_bits()));
+            let _ = write!(s, "ingest {group} {}", f64_to_hex(*report));
         }
-        Frame::IngestBatch { group, reports } => push_ingest_batch(s, *group, reports),
+        Frame::IngestBatch { group, reports } => push_ingest_batch(&mut s, *group, reports),
         Frame::IngestBatchSeq { channel, seq, group, reports } => {
-            push_seq_batch(s, *channel, *seq, *group, reports)
+            push_seq_batch(&mut s, *channel, *seq, *group, reports)
         }
         Frame::ShareBatch { channel, seq, group, counts } => {
-            push_share_batch(s, *channel, *seq, *group, counts)
+            push_share_batch(&mut s, *channel, *seq, *group, counts)
         }
         Frame::MaskedPull => s.push_str("masked-pull"),
         Frame::MaskedPart { part } => {
             s.push_str("masked-part");
-            push_masked_part(s, part);
+            push_masked_part(&mut s, part);
         }
         Frame::Status => s.push_str("status"),
         Frame::StatusOk { digest, groups, ingested, counters } => {
-            let _ = write!(s, "status-ok {} {groups} {ingested}", Hex(*digest));
+            let _ = write!(s, "status-ok {} {groups} {ingested}", hex_u64(*digest));
             if let Some(c) = counters {
                 let _ = write!(
                     s,
@@ -626,9 +623,9 @@ fn push_frame_body(s: &mut impl TextSink, frame: &Frame) {
         Frame::Pull => s.push_str("pull"),
         Frame::Part { part } => {
             s.push_str("part");
-            push_part(s, part);
+            push_part(&mut s, part);
         }
-        Frame::Merge { part } => push_merge(s, part),
+        Frame::Merge { part } => push_merge(&mut s, part),
         Frame::Finalize { schemes } => {
             let _ = write!(s, "finalize {}", schemes.len());
             for scheme in schemes {
@@ -637,7 +634,7 @@ fn push_frame_body(s: &mut impl TextSink, frame: &Frame) {
         }
         Frame::Outputs { outputs } => {
             s.push_str("outputs");
-            push_outputs(s, outputs);
+            push_outputs(&mut s, outputs);
         }
         Frame::RunShard { request } => {
             let _ = write!(
@@ -657,15 +654,17 @@ fn push_frame_body(s: &mut impl TextSink, frame: &Frame) {
             s.push_str(json);
         }
         Frame::Shutdown => s.push_str("shutdown"),
-        Frame::Error(e) => encode_error(s, e),
+        Frame::Error(e) => encode_error(&mut s, e),
     }
+    s
 }
 
 /// Appends an `ingest-batch` body. [`encode_frame`] writes the owned frame
 /// with it, and the journal writes a borrowed batch with it, so a batch has
 /// one writer and its journal record needs no owned copy of the reports.
 /// The same holds for [`push_seq_batch`] and [`push_share_batch`].
-pub(crate) fn push_ingest_batch(s: &mut impl TextSink, group: usize, reports: &[f64]) {
+pub(crate) fn push_ingest_batch(s: &mut String, group: usize, reports: &[f64]) {
+    use std::fmt::Write as _;
     reserve_batch(s, reports.len());
     let _ = writeln!(s, "ingest-batch {group} {}", reports.len());
     push_words(s, reports.iter().map(|r| r.to_bits()));
@@ -673,12 +672,13 @@ pub(crate) fn push_ingest_batch(s: &mut impl TextSink, group: usize, reports: &[
 
 /// Appends a `seq-batch` body (see [`push_ingest_batch`]).
 pub(crate) fn push_seq_batch(
-    s: &mut impl TextSink,
+    s: &mut String,
     channel: u64,
     seq: u64,
     group: usize,
     reports: &[f64],
 ) {
+    use std::fmt::Write as _;
     reserve_batch(s, reports.len());
     s.push_str("seq-batch ");
     codec::push_hex_u64(s, channel);
@@ -688,12 +688,13 @@ pub(crate) fn push_seq_batch(
 
 /// Appends a `share-batch` body (see [`push_ingest_batch`]).
 pub(crate) fn push_share_batch(
-    s: &mut impl TextSink,
+    s: &mut String,
     channel: u64,
     seq: u64,
     group: usize,
     counts: &[u64],
 ) {
+    use std::fmt::Write as _;
     reserve_batch(s, counts.len());
     s.push_str("share-batch ");
     codec::push_hex_u64(s, channel);
@@ -702,19 +703,19 @@ pub(crate) fn push_share_batch(
 }
 
 /// Appends a `merge` body from a borrowed part (see [`push_ingest_batch`]).
-pub(crate) fn push_merge(s: &mut impl TextSink, part: &SessionPart) {
+pub(crate) fn push_merge(s: &mut String, part: &SessionPart) {
     s.push_str("merge");
     push_part(s, part);
 }
 
 /// A batch body is its header plus 19 bytes (a hex token and a separator)
 /// per element; reserving that up front saves the regrowths.
-fn reserve_batch(s: &mut impl TextSink, len: usize) {
+fn reserve_batch(s: &mut String, len: usize) {
     s.reserve(64 + 19 * len);
 }
 
 /// Space-separated hex tokens, one per word.
-fn push_words(s: &mut impl TextSink, words: impl Iterator<Item = u64>) {
+fn push_words(s: &mut String, words: impl Iterator<Item = u64>) {
     for (i, w) in words.enumerate() {
         if i > 0 {
             s.push(' ');
@@ -723,16 +724,17 @@ fn push_words(s: &mut impl TextSink, words: impl Iterator<Item = u64>) {
     }
 }
 
-fn encode_error(s: &mut impl TextSink, e: &WireError) {
+fn encode_error(s: &mut String, e: &WireError) {
+    use std::fmt::Write as _;
     match e {
         WireError::Rejected(d) => match d {
             DapError::ReportOutOfRange { group, report, lo, hi } => {
                 let _ = write!(
                     s,
                     "error rejected range {group} {} {} {}",
-                    Hex(report.to_bits()),
-                    Hex(lo.to_bits()),
-                    Hex(hi.to_bits())
+                    f64_to_hex(*report),
+                    f64_to_hex(*lo),
+                    f64_to_hex(*hi)
                 );
             }
             DapError::QuotaExceeded { group, quota, ingested, attempted } => {
@@ -743,13 +745,13 @@ fn encode_error(s: &mut impl TextSink, e: &WireError) {
             }
             DapError::DuplicateSequence { channel, seq, last } => {
                 let _ =
-                    write!(s, "error rejected dup-seq {} {seq} {last}", Hex(*channel));
+                    write!(s, "error rejected dup-seq {} {seq} {last}", hex_u64(*channel));
             }
             DapError::SequenceGap { channel, seq, expected } => {
                 let _ = write!(
                     s,
                     "error rejected seq-gap {} {seq} {expected}",
-                    Hex(*channel)
+                    hex_u64(*channel)
                 );
             }
             DapError::ModeMismatch { masked } => {
@@ -775,7 +777,7 @@ fn encode_error(s: &mut impl TextSink, e: &WireError) {
             let _ = write!(s, "error version {client} {server}");
         }
         WireError::DigestMismatch { client, server } => {
-            let _ = write!(s, "error digest {} {}", Hex(*client), Hex(*server));
+            let _ = write!(s, "error digest {} {}", hex_u64(*client), hex_u64(*server));
         }
         WireError::Unsupported { what } => {
             let _ = write!(s, "error unsupported\n{what}");
@@ -1291,27 +1293,18 @@ fn write_frames(w: &mut impl Write, frames: &[Frame]) -> Result<(), WireError> {
 /// Appends `frame`, length prefix first, to `wire` — or, when its body
 /// exceeds the size cap, appends nothing and returns the typed refusal.
 fn push_frame(wire: &mut Vec<u8>, frame: &Frame) -> Result<(), WireError> {
-    push_frame_with(wire, |s| push_frame_body(s, frame))
+    push_body(wire, &encode_frame(frame))
 }
 
-/// [`push_frame`] for a body that `body` writes: straight into `wire`,
-/// after a placeholder prefix that is patched once the body's length is
-/// known. An oversize body is cut off again, so `wire` is left as it was.
-fn push_frame_with(
-    wire: &mut Vec<u8>,
-    body: impl FnOnce(&mut ByteText<'_>),
-) -> Result<(), WireError> {
-    let start = wire.len();
-    wire.extend_from_slice(&[0; 4]);
-    body(&mut ByteText(wire));
-    let len = wire.len() - start - 4;
-    if len > MAX_FRAME {
-        wire.truncate(start);
+/// [`push_frame`] for an encoded body.
+fn push_body(wire: &mut Vec<u8>, body: &str) -> Result<(), WireError> {
+    if body.len() > MAX_FRAME {
         return Err(WireError::BadFrame {
-            reason: format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+            reason: format!("frame of {} bytes exceeds the {MAX_FRAME}-byte cap", body.len()),
         });
     }
-    wire[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    wire.extend_from_slice(body.as_bytes());
     Ok(())
 }
 
@@ -1613,10 +1606,10 @@ impl WireClient {
         push_frame(&mut self.outbound, frame)
     }
 
-    /// [`WireClient::call`] for a frame whose body `body` writes from
-    /// borrowed data, expecting an `ok` reply.
-    fn call_ok(&mut self, body: impl FnOnce(&mut ByteText<'_>)) -> Result<(), WireError> {
-        push_frame_with(&mut self.outbound, body)?;
+    /// [`WireClient::call`] for a frame body encoded from borrowed data,
+    /// expecting an `ok` reply.
+    fn call_ok(&mut self, body: &str) -> Result<(), WireError> {
+        push_body(&mut self.outbound, body)?;
         match self.recv_reply()? {
             Frame::Ok => Ok(()),
             f => Err(Self::unexpected("ok", &f)),
@@ -1714,7 +1707,9 @@ impl WireClient {
 
     /// Streams an atomic batch into `group`.
     pub fn ingest_batch(&mut self, group: usize, reports: &[f64]) -> Result<(), WireError> {
-        self.call_ok(|s| push_ingest_batch(s, group, reports))
+        let mut body = String::new();
+        push_ingest_batch(&mut body, group, reports);
+        self.call_ok(&body)
     }
 
     /// Streams a sequence-numbered batch into `group`. A
@@ -1728,7 +1723,9 @@ impl WireClient {
         group: usize,
         reports: &[f64],
     ) -> Result<(), WireError> {
-        self.call_ok(|s| push_seq_batch(s, channel, seq, group, reports))
+        let mut body = String::new();
+        push_seq_batch(&mut body, channel, seq, group, reports);
+        self.call_ok(&body)
     }
 
     /// Streams a sequence-numbered batch of masked share words into
@@ -1743,7 +1740,9 @@ impl WireClient {
         group: usize,
         counts: &[u64],
     ) -> Result<(), WireError> {
-        self.call_ok(|s| push_share_batch(s, channel, seq, group, counts))
+        let mut body = String::new();
+        push_share_batch(&mut body, channel, seq, group, counts);
+        self.call_ok(&body)
     }
 
     /// Pulls a masked daemon's accumulated share state.
@@ -1786,7 +1785,9 @@ impl WireClient {
 
     /// Pushes a serialized part into the server's session.
     pub fn merge_part(&mut self, part: &SessionPart) -> Result<(), WireError> {
-        self.call_ok(|s| push_merge(s, part))
+        let mut body = String::with_capacity(64);
+        push_merge(&mut body, part);
+        self.call_ok(&body)
     }
 
     /// Runs the collector pipeline server-side.
@@ -2845,22 +2846,6 @@ mod tests {
                 round_trip(frame);
             }
         }
-    }
-
-    #[test]
-    fn an_oversize_frame_is_refused_and_leaves_the_queue_as_it_was() {
-        let mut wire = Vec::new();
-        push_frame(&mut wire, &Frame::Status).unwrap();
-        let queued = wire.clone();
-        let chunk = "x".repeat(1 << 16);
-        let err = push_frame_with(&mut wire, |s| {
-            for _ in 0..=MAX_FRAME >> 16 {
-                s.push_str(&chunk);
-            }
-        })
-        .unwrap_err();
-        assert!(matches!(err, WireError::BadFrame { .. }), "{err}");
-        assert_eq!(wire, queued);
     }
 
     #[test]

@@ -183,30 +183,18 @@ pub fn race_sides(
     let peek = EmOptions { max_iters: opts.max_iters.min(PEEK), ..*opts };
     let peek_left = em::solve_in(left, counts, MStep::Free, &peek, &mut ws);
     let peek_right = em::solve_in(right, counts, MStep::Free, &peek, &mut ws);
-    let mut iterations = peek_left.iterations + peek_right.iterations;
-    // A peek that converged, or used the whole cap, is already its full fit.
-    let complete = |fit: &EmOutcome| fit.converged || fit.iterations == opts.max_iters;
-
     let lead_side = likelier(&peek_left, &peek_right);
-    let ((lead, lead_peek), (trail, trail_peek)) = match lead_side {
-        Side::Left => ((left, peek_left), (right, peek_right)),
-        Side::Right => ((right, peek_right), (left, peek_left)),
+    let (lead, trail) = match lead_side {
+        Side::Left => (left, right),
+        Side::Right => (right, left),
     };
-    let lead_fit = if complete(&lead_peek) {
-        lead_peek
-    } else {
-        let fit = em::solve_in(lead, counts, MStep::Free, opts, &mut ws);
-        iterations += fit.iterations;
-        fit
-    };
-    let trail_fit = if complete(&trail_peek) {
-        Ok(trail_peek)
-    } else {
-        let rival = lead_fit.log_likelihood;
-        let fit = em::solve_against_in(trail, counts, MStep::Free, opts, rival, &mut ws);
-        iterations += fit.as_ref().map_or_else(|stop| stop.iterations, |fit| fit.iterations);
-        fit
-    };
+    let lead_fit = em::solve_in(lead, counts, MStep::Free, opts, &mut ws);
+    let rival = lead_fit.log_likelihood;
+    let trail_fit = em::solve_against_in(trail, counts, MStep::Free, opts, rival, &mut ws);
+    let iterations = peek_left.iterations
+        + peek_right.iterations
+        + lead_fit.iterations
+        + trail_fit.as_ref().map_or_else(|stop| stop.iterations, |fit| fit.iterations);
 
     let (side, chosen) = match trail_fit {
         // Its full fit would have ended below the lead's.
