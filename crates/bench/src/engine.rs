@@ -258,21 +258,21 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
                 ..DapConfig::paper_default(*eps, Scheme::Emf)
             };
             let scheme_list = schemes.schemes();
-            // Stages 1–2 (plan + honest perturbation) and the coalition's
-            // batches both come from the report cache; the replay itself
-            // consumes no randomness.
+            // Stages 1–2 (plan + honest perturbation, already bucketed) and
+            // the coalition's batches both come from the report cache; the
+            // replay itself consumes no randomness.
             let rc = ReportCache::global();
-            let prepared = rc.prepared(&coord, report_mech(*mechanism), *eps, cfg.eps0);
-            let poison =
-                rc.poison_grouped(&coord, report_mech(*mechanism), *eps, cfg.eps0, *attack);
+            let mech = report_mech(*mechanism);
+            let (prepared, honest) = rc.bucketed(&coord, mech, *eps, cfg.eps0, cfg.max_d_out);
+            let poison = rc.poison_grouped(&coord, mech, *eps, cfg.eps0, *attack);
             let outs = match mechanism {
                 MechKind::Pm => Dap::new(cfg, PiecewiseMechanism::new)
                     .expect("valid config")
-                    .run_schemes_prepared_with(&prepared, &poison, &scheme_list)
+                    .run_schemes_bucketed(&prepared, &honest, &poison, &scheme_list)
                     .expect("valid run"),
                 MechKind::Duchi => Dap::new(cfg, Duchi::new)
                     .expect("valid config")
-                    .run_schemes_prepared_with(&prepared, &poison, &scheme_list)
+                    .run_schemes_bucketed(&prepared, &honest, &poison, &scheme_list)
                     .expect("valid run"),
             };
             let mut estimates: Vec<f64> = outs.into_iter().map(|o| o.mean).collect();
@@ -382,12 +382,13 @@ fn run_rep(opts: &ExpOptions, cell: &Cell, t: usize) -> RepOut {
                 ..SwDapConfig::paper_default(*eps, Scheme::Emf)
             };
             let rc = ReportCache::global();
-            let prepared = rc.prepared(&coord, ReportMech::Sw, *eps, cfg.eps0);
+            let (prepared, honest) =
+                rc.bucketed(&coord, ReportMech::Sw, *eps, cfg.eps0, cfg.max_d_out);
             let poison =
                 rc.poison_grouped(&coord, ReportMech::Sw, *eps, cfg.eps0, AttackSpec::SwTop);
             let outs = Dap::new(cfg.session_config(), SquareWave::new)
                 .expect("valid config")
-                .run_schemes_prepared_with(&prepared, &poison, &Scheme::ALL)
+                .run_schemes_bucketed(&prepared, &honest, &poison, &Scheme::ALL)
                 .expect("valid run");
             RepOut { estimates: outs.into_iter().map(|o| o.mean).collect(), truth: sp.truth }
         }

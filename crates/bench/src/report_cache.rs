@@ -10,8 +10,11 @@
 //!   defense rows, probes, and single-batch estimators), and
 //! * **grouped protocol reports** — [`dap_core::PreparedReports`]: the
 //!   shuffled [`dap_core::GroupPlan`] plus each honest user's `k_t`
-//!   reports at `ε_t` (the DAP/SW-DAP cells, replayed through
-//!   [`dap_core::Dap::run_schemes_prepared`]).
+//!   reports at `ε_t` (the DAP/SW-DAP cells). The entry also holds those
+//!   reports bucketed into one [`GroupHistogram`] per group, in a single
+//!   slot keyed by the replay's `max_d_out`, so the cells replay through
+//!   [`dap_core::Dap::run_schemes_bucketed`] without re-bucketing
+//!   (see [`ReportCache::bucketed`]).
 //!
 //! The determinism contract mirrors [`dap_datasets::PopulationCache`]: the
 //! generation RNG stream is derived from the key alone — `(dataset,
@@ -40,7 +43,7 @@
 
 use crate::cell::AttackSpec;
 use crate::common::perturb_all;
-use dap_core::{Dap, DapConfig, PreparedReports, Scheme};
+use dap_core::{Dap, DapConfig, GroupHistogram, PreparedReports, Scheme};
 use dap_datasets::cache::Domain;
 use dap_datasets::{Dataset, PopulationCache};
 use dap_estimation::rng::derive;
@@ -49,11 +52,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default entry cap. At the default scale (N = 20 000) a flat entry is
-/// ~160 kB and a grouped entry ~320 kB; a full `experiments all` sweep
-/// touches a few hundred distinct `(population, mechanism, ε)` coordinates,
-/// so 256 holds the hot set in tens of MB. At `--paper-scale` entries are
-/// 50× larger — lower `DAP_REPORT_CACHE_CAP` if memory-bound.
+/// Default entry cap. At the default scale (N = 20 000, ε = 1) a flat
+/// entry is ~160 kB and a grouped entry ~0.9 MB: ~95 000 honest reports
+/// plus the 20 000-user plan. Its histograms ride inside it (a few kB, no
+/// entry of their own). A full `experiments all` sweep touches more
+/// coordinates than the cap and evicts; 256 entries stay under ~230 MB
+/// even if every one were grouped. At `--paper-scale` entries are 50×
+/// larger — lower `DAP_REPORT_CACHE_CAP` if memory-bound.
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// Which mechanism perturbed a cached report set. Engine-level mirror of
@@ -105,10 +110,17 @@ struct Key {
     attack: Option<[u64; 3]>,
 }
 
+/// A grouped entry's honest histograms at the `max_d_out` they were
+/// bucketed for. One slot per entry: a replay at another `max_d_out`
+/// re-buckets and replaces it.
+type HistogramSlot = Mutex<Option<(usize, Arc<Vec<GroupHistogram>>)>>;
+
 #[derive(Debug, Clone)]
 enum Entry {
     Flat(Arc<Vec<f64>>),
-    Grouped(Arc<PreparedReports>),
+    /// Prepared reports and the slot for their histograms, which is
+    /// evicted with them.
+    Grouped(Arc<PreparedReports>, Arc<HistogramSlot>),
     /// The coalition's flat draws for one `(coordinate, attack)` pair.
     PoisonFlat(Arc<Vec<f64>>),
     /// The coalition's per-group protocol batches, in group order.
@@ -198,15 +210,57 @@ impl ReportCache {
         eps: f64,
         eps0: f64,
     ) -> Arc<PreparedReports> {
+        self.grouped(coord, mech, eps, eps0).0
+    }
+
+    /// [`ReportCache::prepared`] plus its honest reports bucketed for a
+    /// replay at `max_d_out` ([`Dap::bucket_prepared`]), ready for
+    /// [`Dap::run_schemes_bucketed`]. The histograms live in the grouped
+    /// entry: this is one counted lookup, like `prepared`, and adds no
+    /// entry. They are bucketed on the first replay at a `max_d_out` and
+    /// reused until a replay asks for another. They depend on the entry
+    /// and `max_d_out` alone, so they are the same bits whether served
+    /// warm or bucketed afresh.
+    pub fn bucketed(
+        &self,
+        coord: &ReportCoord,
+        mech: ReportMech,
+        eps: f64,
+        eps0: f64,
+        max_d_out: usize,
+    ) -> (Arc<PreparedReports>, Arc<Vec<GroupHistogram>>) {
+        let (prepared, slot) = self.grouped(coord, mech, eps, eps0);
+        // Bucketing under the lock makes concurrent replays of one entry
+        // wait for a single bucketing instead of each doing it.
+        let mut slot = slot.lock().expect("histogram slot poisoned");
+        let hists = match &*slot {
+            Some((d, hists)) if *d == max_d_out => Arc::clone(hists),
+            _ => {
+                let fresh = Arc::new(bucket(mech, eps, eps0, max_d_out, &prepared));
+                *slot = Some((max_d_out, Arc::clone(&fresh)));
+                fresh
+            }
+        };
+        (prepared, hists)
+    }
+
+    fn grouped(
+        &self,
+        coord: &ReportCoord,
+        mech: ReportMech,
+        eps: f64,
+        eps0: f64,
+    ) -> (Arc<PreparedReports>, Arc<HistogramSlot>) {
         let key = key_of(coord, mech, eps, Some(eps0.to_bits()));
-        if let Some(Entry::Grouped(found)) = self.lookup(&key) {
+        if let Some(Entry::Grouped(prepared, slot)) = self.lookup(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
+            return (prepared, slot);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let fresh = Arc::new(generate_grouped(coord, mech, eps, eps0));
-        self.insert(key, Entry::Grouped(Arc::clone(&fresh)));
-        fresh
+        let slot = Arc::new(HistogramSlot::default());
+        self.insert(key, Entry::Grouped(Arc::clone(&fresh), Arc::clone(&slot)));
+        (fresh, slot)
     }
 
     /// The coalition's single-batch reports at full ε under `mech` for
@@ -421,6 +475,31 @@ fn generate_grouped(
             .prepare_reports(&sp.honest, sp.byzantine, &mut rng)
             .expect("non-empty population"),
     }
+}
+
+/// A prepared entry's honest histograms for a replay at `max_d_out`. Only
+/// the mechanism, ε, ε₀ and `max_d_out` shape them, so the minimal config
+/// that prepared the entry, at that `max_d_out`, buckets them.
+fn bucket(
+    mech: ReportMech,
+    eps: f64,
+    eps0: f64,
+    max_d_out: usize,
+    prepared: &PreparedReports,
+) -> Vec<GroupHistogram> {
+    let cfg = DapConfig { eps0, max_d_out, ..DapConfig::paper_default(eps, Scheme::Emf) };
+    match mech {
+        ReportMech::Pm => Dap::new(cfg, PiecewiseMechanism::new)
+            .expect("valid config")
+            .bucket_prepared(prepared),
+        ReportMech::Duchi => Dap::new(cfg, Duchi::new)
+            .expect("valid config")
+            .bucket_prepared(prepared),
+        ReportMech::Sw => Dap::new(cfg, SquareWave::new)
+            .expect("valid config")
+            .bucket_prepared(prepared),
+    }
+    .expect("prepared matches config")
 }
 
 fn generate_poison_flat(

@@ -107,3 +107,37 @@ fn warm_shard_subset_matches_the_full_runs_bits() {
         "cold shard diverged from the warm shard"
     );
 }
+
+#[test]
+fn histogram_slot_follows_max_d_out_without_new_entries_or_lookups() {
+    let _guard = CACHES.lock().unwrap();
+    let at = |max_d_out| ExpOptions { max_d_out, ..opts() };
+    let cells = ExperimentId::Fig7.cells(&opts());
+    let reps: u64 = cells.iter().map(|c| c.reps(&opts()) as u64).sum();
+    let fresh = |max_d_out| {
+        PopulationCache::global().clear();
+        ReportCache::global().clear();
+        value_bits(&run_cells(&at(max_d_out), &cells))
+    };
+    let (fresh32, fresh64) = (fresh(32), fresh(64));
+    assert_ne!(fresh32, fresh64, "max_d_out must shape the estimates");
+
+    // One process, one cache: 32, then 64, then 32 again. Every grouped
+    // entry's slot is re-bucketed at each switch.
+    PopulationCache::global().clear();
+    ReportCache::global().clear();
+    assert_eq!(value_bits(&run_cells(&at(32), &cells)), fresh32);
+    let entries = ReportCache::global().len();
+    for (max_d_out, want) in [(64, &fresh64), (32, &fresh32)] {
+        let before = cache_stats().1;
+        let got = value_bits(&run_cells(&at(max_d_out), &cells));
+        let after = cache_stats().1;
+        assert_eq!(&got, want, "max_d_out {max_d_out}: diverged from a fresh cache");
+        assert_eq!(ReportCache::global().len(), entries, "the slot added an entry");
+        // Each fig7 rep looks up its grouped entry, the coalition's
+        // batches, the flat batch and the flat poison: four hits, and the
+        // histograms add none.
+        assert_eq!(after.misses, before.misses, "max_d_out {max_d_out}: a warm run missed");
+        assert_eq!(after.hits - before.hits, 4 * reps, "max_d_out {max_d_out}: lookups");
+    }
+}

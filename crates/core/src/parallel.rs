@@ -16,12 +16,29 @@
 //! affinity state, and every [`parallel_map`] would otherwise pay for it.
 //! With one thread the map degenerates to an inline loop — no spawn, no
 //! synchronization.
+//!
+//! Nested maps: a [`parallel_map`] called from a worker of a map that
+//! already runs [`effective_threads`] workers also runs inline, since every
+//! core is busy with the outer items. The experiment engine fans `(cell,
+//! rep)` tasks out and each task's `DapSession::finalize` fans its groups
+//! out; spawning threads for the inner map would start two per task on top
+//! of the outer workers, only to oversubscribe the cores, and every extra
+//! thread's malloc arena keeps memory resident after the thread exits.
+//! A worker of a map with fewer items than threads still fans its nested
+//! maps out.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// `0` means "no override".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on the workers of a map that runs [`effective_threads`] of them:
+    /// nested maps there run inline.
+    static IN_FULL_MAP: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Forces every subsequent [`parallel_map`] onto exactly `n` threads
 /// (`None` restores automatic detection). Intended for tests proving
@@ -51,7 +68,8 @@ pub fn effective_threads() -> usize {
 /// Maps `f` over `items` on up to [`effective_threads`] scoped threads,
 /// returning results in input order. Results are bit-identical to the
 /// serial `items.into_iter().map(f).collect()` as long as `f` is a pure
-/// function of its item.
+/// function of its item. Inside a worker of a map that uses every thread,
+/// it runs inline (see the module docs).
 pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -59,10 +77,12 @@ where
     F: Fn(T) -> U + Sync,
 {
     let n = items.len();
-    let threads = effective_threads().min(n.max(1));
-    if threads <= 1 || n <= 1 {
+    let available = effective_threads();
+    let threads = available.min(n.max(1));
+    if threads <= 1 || n <= 1 || IN_FULL_MAP.with(Cell::get) {
         return items.into_iter().map(f).collect();
     }
+    let full = threads == available;
 
     // Each item moves into its slot behind a Mutex so worker threads can
     // take ownership; results land in per-index slots, preserving order.
@@ -77,14 +97,18 @@ where
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
-            handles.push(scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            handles.push(scope.spawn(move || {
+                IN_FULL_MAP.with(|w| w.set(full));
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item =
+                        work[i].lock().expect("work slot poisoned").take().expect("claimed once");
+                    let out = f(item);
+                    *slots[i].lock().expect("result slot poisoned") = Some(out);
                 }
-                let item = work[i].lock().expect("work slot poisoned").take().expect("claimed once");
-                let out = f(item);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
             }));
         }
         for h in handles {
@@ -142,6 +166,29 @@ mod tests {
             out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(run(1), run(5));
+    }
+
+    #[test]
+    fn nested_maps_in_full_workers_run_inline() {
+        // More outer items than any thread count a test here sets, so a
+        // spawned outer worker always belongs to a map using every thread.
+        set_thread_override(Some(2));
+        let caller = std::thread::current().id();
+        let outer = parallel_map((0..256u64).collect(), |i| {
+            let me = std::thread::current().id();
+            let inner =
+                parallel_map((0..8u64).collect(), |j| (std::thread::current().id(), i * 8 + j));
+            (me, inner)
+        });
+        set_thread_override(None);
+        for (i, (me, inner)) in outer.iter().enumerate() {
+            let values: Vec<u64> = inner.iter().map(|&(_, v)| v).collect();
+            let expect: Vec<u64> = (0..8).map(|j| i as u64 * 8 + j).collect();
+            assert_eq!(values, expect);
+            if *me != caller {
+                assert!(inner.iter().all(|&(t, _)| t == *me), "item {i} spawned threads");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::aggregation::Weighting;
 use crate::error::DapError;
 use crate::grouping::GroupPlan;
 use crate::population::Population;
-use crate::scheme::Scheme;
+use crate::scheme::{GroupHistogram, Scheme};
 use crate::session::{DapSession, EstimationMode};
 use dap_attack::{Attack, Side};
 use dap_ldp::{Epsilon, NumericMechanism};
@@ -465,9 +465,58 @@ where
     /// poison batches (as produced by [`Dap::poison_batches`], possibly
     /// served from a cache). Consumes no randomness: everything stochastic
     /// happened when the two inputs were drawn.
+    ///
+    /// This is [`Dap::bucket_prepared`] followed by
+    /// [`Dap::run_schemes_bucketed`]; a caller replaying one prepared set
+    /// many times can keep the histograms and call the second alone.
     pub fn run_schemes_prepared_with(
         &self,
         prepared: &PreparedReports,
+        poison: &[Vec<f64>],
+        schemes: &[Scheme],
+    ) -> Result<Vec<DapOutput>, DapError> {
+        let honest = self.bucket_prepared(prepared)?;
+        self.run_schemes_bucketed(prepared, &honest, poison, schemes)
+    }
+
+    /// Buckets the honest reports of a [`PreparedReports`] into one
+    /// [`GroupHistogram`] per group: all that stages 3–5 read of them. The
+    /// reports go through [`DapSession::ingest_batch`], so the range and
+    /// quota checks are those of ingestion.
+    ///
+    /// Each group's grid comes from its mechanism and its `d'`, which
+    /// `max_d_out` caps; no other estimation setting shapes the
+    /// histograms. One bucketing therefore serves every attack, scheme
+    /// and weighting replayed over the entry at that `max_d_out`.
+    pub fn bucket_prepared(
+        &self,
+        prepared: &PreparedReports,
+    ) -> Result<Vec<GroupHistogram>, DapError> {
+        self.check_prepared(prepared)?;
+        let mut session =
+            DapSession::new(self.config, prepared.plan.clone(), &self.mech_factory)?;
+        for (g, reports) in prepared.group_reports.iter().enumerate() {
+            session.ingest_batch(g, reports)?;
+        }
+        Ok((0..session.group_count()).map(|g| session.histogram(g).clone()).collect())
+    }
+
+    /// Replays stages 3–5 from the honest histograms of `prepared` (as
+    /// [`Dap::bucket_prepared`] returns them) plus per-group poison
+    /// batches: a fresh session is seeded with the histograms
+    /// ([`DapSession::ingest_histograms`]), ingests only the coalition's
+    /// reports, and finalizes.
+    ///
+    /// The outputs equal [`Dap::run_schemes_prepared_with`]'s bit for bit:
+    /// the seeded session holds exactly the state that ingesting the
+    /// honest reports would have left (see
+    /// [`DapSession::ingest_histograms`]), and the poison reports then
+    /// continue the same additions. Histograms of another resolution or
+    /// with impossible values are refused typed.
+    pub fn run_schemes_bucketed(
+        &self,
+        prepared: &PreparedReports,
+        honest: &[GroupHistogram],
         poison: &[Vec<f64>],
         schemes: &[Scheme],
     ) -> Result<Vec<DapOutput>, DapError> {
@@ -484,8 +533,8 @@ where
                 ),
             });
         }
+        session.ingest_histograms(honest)?;
         for (g, batch) in poison.iter().enumerate() {
-            session.ingest_batch(g, &prepared.group_reports[g])?;
             session.ingest_batch(g, batch)?;
         }
         session.finalize(schemes)
@@ -493,7 +542,8 @@ where
 
     /// Rejects a [`PreparedReports`] whose grouping parameters do not match
     /// this session's config, so a stale cache entry cannot silently
-    /// aggregate under the wrong plan.
+    /// aggregate under the wrong plan, and one whose report groups do not
+    /// match its own plan (its fields are public).
     fn check_prepared(&self, prepared: &PreparedReports) -> Result<(), DapError> {
         let cfg = &self.config;
         if prepared.eps != cfg.eps || prepared.eps0 != cfg.eps0 {
@@ -502,6 +552,16 @@ where
                 reason: format!(
                     "prepared under (ε={}, ε₀={}), session wants (ε={}, ε₀={})",
                     prepared.eps, prepared.eps0, cfg.eps, cfg.eps0
+                ),
+            });
+        }
+        if prepared.group_reports.len() != prepared.plan.len() {
+            return Err(DapError::InvalidConfig {
+                field: "prepared reports",
+                reason: format!(
+                    "{} report groups for a {}-group plan",
+                    prepared.group_reports.len(),
+                    prepared.plan.len()
                 ),
             });
         }
@@ -730,6 +790,30 @@ mod tests {
             .run_schemes_prepared(&prepared, &NoAttack, &[Scheme::Emf], &mut seeded(19))
             .unwrap_err();
         assert!(matches!(err, DapError::InvalidConfig { field: "prepared reports", .. }));
+    }
+
+    #[test]
+    fn a_short_report_set_is_refused_typed() {
+        // The fields are public, so a caller can drop a group's reports;
+        // every entry point that reads them must refuse that typed.
+        let dap = pm_dap(0.5, Scheme::Emf);
+        let honest = honest_values(500, 20);
+        let full = dap.prepare_reports(&honest, 100, &mut seeded(21)).unwrap();
+        let poison = dap.poison_batches(&full, &NoAttack, &mut seeded(22)).unwrap();
+        let buckets = dap.bucket_prepared(&full).unwrap();
+        let mut short = full.clone();
+        short.group_reports.pop();
+        let errors = [
+            dap.run_schemes_prepared_with(&short, &poison, &[Scheme::Emf]).unwrap_err(),
+            dap.bucket_prepared(&short).unwrap_err(),
+            dap.run_schemes_bucketed(&short, &buckets, &poison, &[Scheme::Emf]).unwrap_err(),
+        ];
+        for err in errors {
+            assert!(
+                matches!(err, DapError::InvalidConfig { field: "prepared reports", .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

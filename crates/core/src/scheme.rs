@@ -83,8 +83,9 @@ pub fn estimate_group_mean(
 /// A group's report set reduced to what estimation needs: the `d'`-bucket
 /// histogram, the report sum (for Eq. 13) and the report count. The
 /// protocol streams perturbed reports straight into this, so the raw
-/// per-group report vectors never materialize.
-#[derive(Debug, Clone)]
+/// per-group report vectors never materialize. A session part carries
+/// one per group ([`crate::PartGroup`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupHistogram {
     /// Per-output-bucket report counts (length `d'`).
     pub counts: Vec<f64>,
@@ -104,6 +105,17 @@ impl GroupHistogram {
             sum_reports: reports.iter().sum(),
             n_reports: reports.len(),
         }
+    }
+
+    /// Adds `other`, bucket by bucket, then its report sum and tally. The
+    /// caller has checked that the resolutions agree. Counts are whole
+    /// numbers far below 2⁵³, so they add exactly in any order.
+    pub(crate) fn absorb(&mut self, other: &GroupHistogram) {
+        for (b, p) in self.counts.iter_mut().zip(&other.counts) {
+            *b += p;
+        }
+        self.sum_reports += other.sum_reports;
+        self.n_reports += other.n_reports;
     }
 }
 

@@ -402,11 +402,7 @@ impl<M: NumericMechanism> DapSession<M> {
                         attempted: ps.hist.n_reports,
                     });
                 }
-                for (b, p) in bs.hist.counts.iter_mut().zip(&ps.hist.counts) {
-                    *b += p;
-                }
-                bs.hist.sum_reports += ps.hist.sum_reports;
-                bs.hist.n_reports += ps.hist.n_reports;
+                bs.hist.absorb(&ps.hist);
             }
             // Replay-guard high-water marks are monotone per channel, so the
             // combined session's guard is the per-channel maximum.
@@ -464,15 +460,7 @@ impl<M: NumericMechanism> DapSession<M> {
     pub fn export_part(&self) -> SessionPart {
         SessionPart {
             digest: self.state_digest(),
-            groups: self
-                .groups
-                .iter()
-                .map(|g| PartGroup {
-                    counts: g.hist.counts.clone(),
-                    sum_reports: g.hist.sum_reports,
-                    n_reports: g.hist.n_reports,
-                })
-                .collect(),
+            groups: self.groups.iter().map(|g| g.hist.clone()).collect(),
             channels: self.channels.iter().map(|(&c, &s)| (c, s)).collect(),
         }
     }
@@ -488,13 +476,7 @@ impl<M: NumericMechanism> DapSession<M> {
     /// ([`DapSession::check_part`]) leaves the session untouched.
     pub fn merge_part(&mut self, part: &SessionPart) -> Result<(), DapError> {
         self.check_part(part)?;
-        for (state, pg) in self.groups.iter_mut().zip(&part.groups) {
-            for (b, p) in state.hist.counts.iter_mut().zip(&pg.counts) {
-                *b += p;
-            }
-            state.hist.sum_reports += pg.sum_reports;
-            state.hist.n_reports += pg.n_reports;
-        }
+        self.absorb_histograms(&part.groups);
         for &(channel, seq) in &part.channels {
             let entry = self.channels.entry(channel).or_insert(0);
             *entry = (*entry).max(seq);
@@ -518,28 +500,72 @@ impl<M: NumericMechanism> DapSession<M> {
         if part.digest != self.state_digest() {
             return Err(DapError::SessionMismatch { what: "state digest" });
         }
-        if part.groups.len() != self.groups.len() {
+        self.check_histograms(&part.groups)
+    }
+
+    /// Adds pre-bucketed histograms, one per group in group order: the
+    /// state that ingesting their reports here would have left. This is
+    /// how a replay reuses one bucketing of a report set
+    /// ([`crate::Dap::run_schemes_bucketed`]).
+    ///
+    /// The histograms get the shape, quota and value checks of
+    /// [`DapSession::check_part`], so a resolution other than this
+    /// session's (histograms bucketed at another `max_d_out`), a count
+    /// that is NaN, negative or fractional, counts that do not add up to
+    /// the tally, a report sum that is not finite, or a tally over the
+    /// remaining quota is refused typed and leaves the session unchanged.
+    /// The plan digest is not checked: it hashes every user id, which
+    /// would cost most of what reusing a bucketing saves. The caller
+    /// vouches that the histograms were bucketed over this session's plan
+    /// and mechanisms.
+    ///
+    /// Counts are whole numbers below 2⁵³, so adding one equals adding
+    /// 1.0 that many times. A fresh session's report sum is +0.0, and
+    /// adding a sum that also started at +0.0 gives that sum bit for bit.
+    /// Seeding a fresh session and then ingesting reports therefore
+    /// finalizes exactly like ingesting all the reports in that order.
+    pub fn ingest_histograms(&mut self, hists: &[GroupHistogram]) -> Result<(), DapError> {
+        self.check_plain()?;
+        self.check_histograms(hists)?;
+        self.absorb_histograms(hists);
+        Ok(())
+    }
+
+    /// The checks of [`DapSession::check_part`] after the digest, shared
+    /// with [`DapSession::ingest_histograms`]: one histogram per group, at
+    /// the group's resolution, within its remaining quota, with values
+    /// that ingesting reports could produce.
+    fn check_histograms(&self, hists: &[GroupHistogram]) -> Result<(), DapError> {
+        if hists.len() != self.groups.len() {
             return Err(DapError::SessionMismatch { what: "part group count" });
         }
-        for (g, (state, pg)) in self.groups.iter().zip(&part.groups).enumerate() {
-            if pg.counts.len() != state.hist.counts.len() {
+        for (g, (state, h)) in self.groups.iter().zip(hists).enumerate() {
+            if h.counts.len() != state.hist.counts.len() {
                 return Err(DapError::SessionMismatch { what: "part histogram resolution" });
             }
-            // A part's tally is read off the wire or a checkpoint, so any
-            // value may arrive; the sum must not wrap past the quota.
-            if state.hist.n_reports.checked_add(pg.n_reports).is_none_or(|n| n > state.quota) {
+            // A tally may come off the wire, out of a checkpoint or from a
+            // caller, so any value may arrive; the sum must not wrap past
+            // the quota.
+            if state.hist.n_reports.checked_add(h.n_reports).is_none_or(|n| n > state.quota) {
                 return Err(DapError::QuotaExceeded {
                     group: g,
                     quota: state.quota,
                     ingested: state.hist.n_reports,
-                    attempted: pg.n_reports,
+                    attempted: h.n_reports,
                 });
             }
-            if !part_values_hold(pg) {
+            if !part_values_hold(h) {
                 return Err(DapError::SessionMismatch { what: "part histogram values" });
             }
         }
         Ok(())
+    }
+
+    /// Adds histograms that [`DapSession::check_histograms`] accepted.
+    fn absorb_histograms(&mut self, hists: &[GroupHistogram]) {
+        for (state, h) in self.groups.iter_mut().zip(hists) {
+            state.hist.absorb(h);
+        }
     }
 
     /// Digest of the full session state: the [`DapSession::state_digest`]
@@ -734,26 +760,18 @@ impl<M: NumericMechanism> DapSession<M> {
     }
 }
 
-/// Whether a part group's values could come from ingesting its reports:
+/// Whether a histogram's values could come from ingesting its reports:
 /// whole, non-negative counts (NaN and ±∞ fail the test) that add up to
 /// its tally, and a finite report sum. The total is exact in f64 since it
 /// is compared with a tally that the quota check bounds far below 2⁵³.
-fn part_values_hold(pg: &PartGroup) -> bool {
-    pg.counts.iter().all(|&c| c >= 0.0 && c.fract() == 0.0)
-        && pg.counts.iter().sum::<f64>() == pg.n_reports as f64
-        && pg.sum_reports.is_finite()
+fn part_values_hold(h: &GroupHistogram) -> bool {
+    h.counts.iter().all(|&c| c >= 0.0 && c.fract() == 0.0)
+        && h.counts.iter().sum::<f64>() == h.n_reports as f64
+        && h.sum_reports.is_finite()
 }
 
-/// One group's streamed state inside a [`SessionPart`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartGroup {
-    /// Per-output-bucket report counts (length `d'`).
-    pub counts: Vec<f64>,
-    /// Running report sum `Σ v'`.
-    pub sum_reports: f64,
-    /// Reports accepted.
-    pub n_reports: usize,
-}
+/// One group's streamed state inside a [`SessionPart`]: its histogram.
+pub type PartGroup = GroupHistogram;
 
 /// A session's per-group ingestion state, detached from the session for
 /// transport between processes (see [`DapSession::export_part`]).

@@ -12,16 +12,23 @@
 //!    `DapSession::merge` finalize exactly like single-session ingestion.
 //! 4. **Ingestion edge cases** — empty groups, out-of-range reports,
 //!    over-quota submissions, incompatible merges.
+//! 5. **Histogram replay** — one prepared report set bucketed once
+//!    (`Dap::bucket_prepared`) and replayed under two attacks
+//!    (`Dap::run_schemes_bucketed`) equals, in every output field, a session
+//!    that ingests the honest and then the poison reports; histograms no
+//!    ingestion could leave are refused typed.
 
-use dap_attack::{Anchor, Attack, Side, UniformAttack};
+use dap_attack::{Anchor, Attack, PointAttack, Side, UniformAttack};
 use dap_core::parallel::set_thread_override;
 use dap_core::sw::SwDapConfig;
 use dap_core::{
-    Dap, DapConfig, DapError, DapOutput, DapSession, GroupPlan, Population, Scheme,
+    Dap, DapConfig, DapError, DapOutput, DapSession, GroupHistogram, GroupPlan, Population,
+    Scheme,
 };
 use dap_datasets::Dataset;
 use dap_estimation::rng::seeded;
-use dap_ldp::{NumericMechanism, PiecewiseMechanism, SquareWave};
+use dap_ldp::{Duchi, Epsilon, NumericMechanism, PiecewiseMechanism, SquareWave};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::RngCore;
 
@@ -196,9 +203,28 @@ where
     session
 }
 
-fn output_bits(outs: &[DapOutput]) -> Vec<(u64, u64, u64, Side)> {
+/// Every field of every output, floats by bit pattern.
+fn output_bits(outs: &[DapOutput]) -> Vec<Vec<u64>> {
     outs.iter()
-        .map(|o| (o.mean.to_bits(), o.gamma.to_bits(), o.min_variance.to_bits(), o.side))
+        .map(|o| {
+            let mut words = vec![
+                o.mean.to_bits(),
+                (o.side == Side::Right) as u64,
+                o.gamma.to_bits(),
+                o.min_variance.to_bits(),
+            ];
+            for g in &o.groups {
+                words.extend([
+                    g.eps_t.to_bits(),
+                    g.n_reports as u64,
+                    g.mean_t.to_bits(),
+                    g.m_hat.to_bits(),
+                    g.n_hat.to_bits(),
+                    g.weight.to_bits(),
+                ]);
+            }
+            words
+        })
         .collect()
 }
 
@@ -354,4 +380,163 @@ fn out_of_range_and_over_quota_ingestion_is_rejected() {
     other.ingest_batch(0, &[0.0, 0.0]).unwrap();
     let err = DapSession::merge([session, other]).unwrap_err();
     assert!(matches!(err, DapError::QuotaExceeded { group: 0, .. }));
+}
+
+/// Buckets one prepared report set, replays the histograms under both
+/// attacks and compares each replay with a reference session; then offers
+/// forged histograms to a session and checks that each is refused typed
+/// and leaves the session as it was.
+fn check_bucketed_replay<M, F>(
+    cfg: DapConfig,
+    factory: F,
+    population: &Population,
+    attacks: [&dyn Attack; 2],
+    schemes: &[Scheme],
+    seed: u64,
+) where
+    M: NumericMechanism + Sync,
+    F: Fn(Epsilon) -> M + Copy + Sync,
+{
+    let dap = Dap::new(cfg, factory).unwrap();
+    let prepared =
+        dap.prepare_reports(&population.honest, population.byzantine, &mut seeded(seed)).unwrap();
+    let honest = dap.bucket_prepared(&prepared).unwrap();
+    let mut poisons = Vec::new();
+    for (i, attack) in attacks.into_iter().enumerate() {
+        let mut rng = seeded(seed ^ (i as u64 + 1));
+        let poison = dap.poison_batches(&prepared, attack, &mut rng).unwrap();
+        let mut reference = DapSession::new(cfg, prepared.plan.clone(), factory).unwrap();
+        for (g, reports) in prepared.group_reports.iter().enumerate() {
+            reference.ingest_batch(g, reports).unwrap();
+        }
+        for (g, batch) in poison.iter().enumerate() {
+            reference.ingest_batch(g, batch).unwrap();
+        }
+        let replayed = dap.run_schemes_bucketed(&prepared, &honest, &poison, schemes).unwrap();
+        assert_eq!(
+            output_bits(&replayed),
+            output_bits(&reference.finalize(schemes).unwrap()),
+            "attack {i}: the histogram replay diverged from ingesting the reports"
+        );
+        poisons.push(poison);
+    }
+
+    // Forgeries, offered to a session that already holds a coalition's
+    // reports. `g` is the fullest group; `i` a filled bucket, `j` another.
+    let mut session = DapSession::new(cfg, prepared.plan.clone(), factory).unwrap();
+    for (g, batch) in poisons[0].iter().enumerate() {
+        session.ingest_batch(g, batch).unwrap();
+    }
+    let before = session.content_digest();
+    let g = (0..honest.len()).max_by_key(|&g| honest[g].n_reports).unwrap();
+    let i = honest[g].counts.iter().position(|&c| c > 0.0).expect("a filled bucket");
+    let j = (i + 1) % honest[g].counts.len();
+    let forge = |f: &dyn Fn(&mut GroupHistogram)| {
+        let mut hists = honest.clone();
+        f(&mut hists[g]);
+        hists
+    };
+    let room = session.quota(g) - session.ingested(g) - honest[g].n_reports;
+    let d_top = honest[g].counts.len();
+    assert!(d_top >= 4, "the fullest group has {d_top} buckets");
+    let coarser = DapConfig { max_d_out: d_top - 2, ..cfg };
+    let values = |what| DapError::SessionMismatch { what };
+    let forgeries: Vec<(&str, Vec<GroupHistogram>, DapError)> = vec![
+        (
+            "another max_d_out",
+            Dap::new(coarser, factory).unwrap().bucket_prepared(&prepared).unwrap(),
+            values("part histogram resolution"),
+        ),
+        ("NaN count", forge(&|h| h.counts[i] = f64::NAN), values("part histogram values")),
+        (
+            "negative count",
+            forge(&|h| {
+                h.counts[j] += h.counts[i] + 1.0;
+                h.counts[i] = -1.0;
+            }),
+            values("part histogram values"),
+        ),
+        (
+            "fractional count",
+            forge(&|h| {
+                h.counts[i] -= 0.5;
+                h.counts[j] += 0.5;
+            }),
+            values("part histogram values"),
+        ),
+        // Below the true tally: the group may have no room for one more.
+        ("wrong total", forge(&|h| h.n_reports -= 1), values("part histogram values")),
+        (
+            "count over quota",
+            forge(&|h| {
+                h.counts[i] += (room + 1) as f64;
+                h.n_reports += room + 1;
+            }),
+            DapError::QuotaExceeded {
+                group: g,
+                quota: session.quota(g),
+                ingested: session.ingested(g),
+                attempted: honest[g].n_reports + room + 1,
+            },
+        ),
+    ];
+    for (label, hists, want) in forgeries {
+        let err = session.ingest_histograms(&hists).unwrap_err();
+        assert_eq!(err, want, "{label}");
+        assert_eq!(session.content_digest(), before, "{label} left a trace");
+        let err = dap.run_schemes_bucketed(&prepared, &hists, &poisons[0], schemes).unwrap_err();
+        assert!(
+            matches!(err, DapError::SessionMismatch { .. } | DapError::QuotaExceeded { .. }),
+            "{label}: the replay let it through ({err})"
+        );
+    }
+    session.ingest_histograms(&honest).expect("the honest histograms fit");
+}
+
+proptest! {
+    /// The histogram replay is the report replay, bit for bit: PM, SW in
+    /// band mode and Duchi; ε from 1/16 to 4; γ from 0 to 0.4; `max_d_out`
+    /// from 16 to 128; every subset of the schemes. One bucketing serves
+    /// two attacks.
+    #[test]
+    fn histogram_replay_equals_report_replay_bit_for_bit(
+        mech in 0usize..3,
+        eps in 0.0625f64..=4.0,
+        gamma in 0.0f64..=0.4,
+        max_d_out in 16usize..=128,
+        subset in 0usize..8,
+        n in 200usize..=600,
+        seed in 0u64..1_000_000,
+    ) {
+        let schemes: Vec<Scheme> =
+            (0..3).filter(|b| subset >> b & 1 == 1).map(|b| Scheme::ALL[b]).collect();
+        let cfg = DapConfig { max_d_out, ..DapConfig::paper_default(eps, Scheme::Emf) };
+        match mech {
+            0 => check_bucketed_replay(
+                cfg,
+                PiecewiseMechanism::new,
+                &pm_population(n, gamma, seed),
+                [&pm_attack(), &PointAttack { value: Anchor::OfLower(0.75) }],
+                &schemes,
+                seed,
+            ),
+            1 => check_bucketed_replay(
+                SwDapConfig { max_d_out, ..SwDapConfig::paper_default(eps, Scheme::Emf) }
+                    .session_config(),
+                SquareWave::new,
+                &sw_population(n, gamma, seed),
+                [&sw_attack(), &PointAttack { value: Anchor::AboveInputMax(0.75) }],
+                &schemes,
+                seed,
+            ),
+            _ => check_bucketed_replay(
+                cfg,
+                Duchi::new,
+                &pm_population(n, gamma, seed),
+                [&pm_attack(), &PointAttack { value: Anchor::OfLower(0.75) }],
+                &schemes,
+                seed,
+            ),
+        }
+    }
 }
